@@ -148,6 +148,84 @@ let index_case () =
     exit 1
   end
 
+(* Log-table upkeep: a tentative increment of n rows sharing one [ts] and
+   one [uid] is appended under a savepoint and rolled back, on a table
+   laid out like the engine's log relations (Sorted [ts], Hash [uid],
+   columnar mirror) that already holds committed rows under the same
+   [uid]. This is what every submission's commit does to its increment
+   before re-inserting the retained rows. Rollback must cost O(1) per
+   row whatever the bucket size, so the gate (both modes) holds the
+   per-row rollback time at 50k rows within 3x of that at 1k. *)
+let upkeep_case () =
+  Common.header "Log-table upkeep: same-key append + savepoint rollback";
+  let open Relational in
+  let table =
+    Table.create ~name:"log"
+      ~schema:
+        (Schema.make
+           [
+             ("ts", Ty.Int);
+             ("uid", Ty.Int);
+             ("otid", Ty.Int);
+             ("irid", Ty.Text);
+             ("itid", Ty.Int);
+           ])
+  in
+  ignore (Table.create_index table ~name:"ix_ts" ~column:"ts" ~kind:Index.Sorted);
+  ignore (Table.create_index table ~name:"ix_uid" ~column:"uid" ~kind:Index.Hash);
+  ignore (Table.enable_columnar table);
+  let row ts i =
+    [| Value.Int ts; Value.Int 0; Value.Int i; Value.Str "d_patients"; Value.Int (i mod 97) |]
+  in
+  for i = 0 to 9_999 do
+    ignore (Table.insert table (row (i / 100) i))
+  done;
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  (* Per row: (append us, rollback us, rollback minor words). *)
+  let measure_size n =
+    let iters = max 5 (200_000 / n) in
+    let appends = ref [] and rollbacks = ref [] and words = ref 0. in
+    Gc.full_major ();
+    for _ = 1 to iters do
+      let sp = Table.savepoint table in
+      let t0 = Unix.gettimeofday () in
+      for i = 0 to n - 1 do
+        ignore (Table.insert table (row 1_000 i))
+      done;
+      let t1 = Unix.gettimeofday () in
+      let w0 = Gc.minor_words () in
+      Table.rollback_to table sp;
+      let t2 = Unix.gettimeofday () in
+      words := !words +. (Gc.minor_words () -. w0);
+      appends := (t1 -. t0) :: !appends;
+      rollbacks := (t2 -. t1) :: !rollbacks
+    done;
+    let per_row x = x /. float_of_int n *. 1e6 in
+    ( per_row (median !appends),
+      per_row (median !rollbacks),
+      !words /. float_of_int (iters * n) )
+  in
+  let sizes = [ 1_000; 10_000; 50_000 ] in
+  let results = List.map (fun n -> (n, measure_size n)) sizes in
+  Common.print_table [ 8; 14; 16; 18 ]
+    [ "rows"; "append us/row"; "rollback us/row"; "rollback words/row" ]
+    (List.map
+       (fun (n, (app, rb, w)) ->
+         [ string_of_int n; Common.f3 app; Common.f3 rb; Common.f2 w ])
+       results);
+  let rb_at n = match List.assoc n results with _, rb, _ -> rb in
+  let ratio = rb_at 50_000 /. rb_at 1_000 in
+  Printf.printf "rollback per row, 50k vs 1k: %.2fx (gate: <= 3x)\n" ratio;
+  if ratio > 3.0 then begin
+    Printf.printf
+      "FAIL: per-row rollback at 50k rows is %.2fx the cost at 1k (> 3x)\n" ratio;
+    exit 1
+  end
+
 (* Policy registration must precede the log preload — a policy only sees
    log rows from its own history on, so users rows inserted before
    [add_policy] would be invisible to it. Every case that preloads a
@@ -628,6 +706,7 @@ let bechamel_case () =
 
 let run () =
   index_case ();
+  upkeep_case ();
   parallel_case ();
   delta_case ();
   delta_agg_case ();

@@ -555,18 +555,7 @@ let gen_rel_for t (sub : submission) (ctx : Usage_log.query_ctx) rel =
     (fun () ->
       let rows = g.Usage_log.generate ctx in
       (* The log is a set: dedupe the increment. *)
-      let seen = Hashtbl.create 16 in
-      let rows =
-        List.filter
-          (fun r ->
-            let k = Value.canonical_key_of_array r in
-            if Hashtbl.mem seen k then false
-            else begin
-              Hashtbl.add seen k ();
-              true
-            end)
-          rows
-      in
+      let rows = Usage_log.dedupe_by Fun.id rows in
       if not (Hashtbl.mem sub.generated rel) then
         Hashtbl.add sub.generated rel (Table.savepoint table);
       let ts = Value.Int ctx.Usage_log.time in
@@ -776,17 +765,8 @@ let delta_try t ~(stats : Stats.t) (p : Policy.t) :
           match rows with
           | [] -> Some None
           | _ ->
-            let seen = Hashtbl.create 16 in
             let rows =
-              List.filter
-                (fun (r : Executor.row_out) ->
-                  let k = Value.canonical_key_of_array r.Executor.values in
-                  if Hashtbl.mem seen k then false
-                  else begin
-                    Hashtbl.add seen k ();
-                    true
-                  end)
-                rows
+              Usage_log.dedupe_by (fun (r : Executor.row_out) -> r.Executor.values) rows
             in
             Some (Some { Executor.columns = !columns; out_rows = rows }))
     end
@@ -1526,18 +1506,20 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
                    if keep then Row.cells row :: acc else acc)
                  [] table sp)
         in
-        Option.iter (fun sp -> Table.rollback_to table sp) sp;
-        (match mark with
-        | None ->
-          (* Relation skipped preemptively: nothing retained, nothing
-             stored; committed rows keep their previous marks. *)
-          ()
-        | Some Mark_all -> ()
-        | Some (Mark_tids keep) ->
-          Stats.timed
-            (fun d -> stats.Stats.compact_delete <- stats.Stats.compact_delete +. d)
-            (fun () ->
-              if Table.retain_tids table keep > 0 then compacted := true));
+        (* Delete phase: discard the tentative increment, then drop the
+           unmarked committed rows. *)
+        Stats.timed
+          (fun d -> stats.Stats.compact_delete <- stats.Stats.compact_delete +. d)
+          (fun () ->
+            Option.iter (fun sp -> Table.rollback_to table sp) sp;
+            match mark with
+            | None ->
+              (* Relation skipped preemptively: nothing retained, nothing
+                 stored; committed rows keep their previous marks. *)
+              ()
+            | Some Mark_all -> ()
+            | Some (Mark_tids keep) ->
+              if Table.retain_tids table keep > 0 then compacted := true);
         (* Insert the retained part of the increment. *)
         Stats.timed
           (fun d -> stats.Stats.compact_insert <- stats.Stats.compact_insert +. d)
@@ -1550,11 +1532,14 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
             note_increment rel kept))
       pl.store_rels;
     (* Roll back increments of relations generated for evaluation only. *)
-    Hashtbl.iter
-      (fun rel sp ->
-        if not (List.mem rel pl.store_rels) then
-          Table.rollback_to (Database.table t.db rel) sp)
-      sub.generated
+    Stats.timed
+      (fun d -> stats.Stats.compact_delete <- stats.Stats.compact_delete +. d)
+      (fun () ->
+        Hashtbl.iter
+          (fun rel sp ->
+            if not (List.mem rel pl.store_rels) then
+              Table.rollback_to (Database.table t.db rel) sp)
+          sub.generated)
   end;
   (* All savepoints are resolved now: a later failure (e.g. in the user
      query) must not attempt to roll them back again. *)

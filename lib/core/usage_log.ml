@@ -230,6 +230,21 @@ module Schema_analysis = struct
       { out_cols; aux = aux @ from_aux @ sub_aux }
 end
 
+module Key_tbl = Hashtbl.Make (Value.Key)
+
+(* Keyed on the tuples themselves ({!Value.Key}): no key string per row. *)
+let dedupe_by key rows =
+  let seen = Key_tbl.create 16 in
+  List.filter
+    (fun r ->
+      let k = key r in
+      if Key_tbl.mem seen k then false
+      else begin
+        Key_tbl.add seen k ();
+        true
+      end)
+    rows
+
 let schema_rows (db : Database.t) (q : Ast.query) : Value.t array list =
   let a = Schema_analysis.analyze (Database.catalog db) q in
   let mk ocid (irid, icid, agg) =
@@ -247,16 +262,7 @@ let schema_rows (db : Database.t) (q : Ast.query) : Value.t array list =
     @ List.map (mk None) a.Schema_analysis.aux
   in
   (* The log is a set: dedupe. *)
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun row ->
-      let key = Value.canonical_key_of_array row in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    rows
+  dedupe_by Fun.id rows
 
 let schema_gen : generator =
   {

@@ -76,6 +76,11 @@ val schema_gen : generator
     Perm-style [f_Provenance]). Rank 2 (most expensive). *)
 val provenance : generator
 
+(** [dedupe_by key rows] keeps the first occurrence of each tuple
+    ({!Value.Key} equality on [key row]), in order: how log increments
+    and merged delta results become sets. *)
+val dedupe_by : ('a -> Value.t array) -> 'a list -> 'a list
+
 (** The raw analysis behind {!schema_gen}, exposed for the advisor. *)
 val schema_rows : Database.t -> Ast.query -> Value.t array list
 

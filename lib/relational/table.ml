@@ -116,15 +116,27 @@ let check_cells t cells =
 
 (* Index maintenance hooks ------------------------------------------------- *)
 
-let index_add t (row : Row.t) =
-  List.iter
-    (fun ix -> Index.add ix (Row.cell row (Index.column ix)) (Row.tid row))
-    t.indexes
+(* Direct recursion rather than [List.iter] with a closure: these run once
+   per inserted or rolled-back row and must not allocate. *)
+let rec index_add_to ixs (row : Row.t) =
+  match ixs with
+  | [] -> ()
+  | ix :: rest ->
+    Index.add ix (Row.cell row (Index.column ix)) (Row.tid row);
+    index_add_to rest row
 
-let index_remove t (row : Row.t) =
-  List.iter
-    (fun ix -> Index.remove ix (Row.cell row (Index.column ix)) (Row.tid row))
-    t.indexes
+let rec index_remove_from ixs (row : Row.t) =
+  match ixs with
+  | [] -> ()
+  | ix :: rest ->
+    Index.remove ix (Row.cell row (Index.column ix)) (Row.tid row);
+    index_remove_from rest row
+
+(* Refill one index from the heap, in tid order (each add appends). *)
+let index_rebuild t ix =
+  Index.clear ix;
+  let col = Index.column ix in
+  Vec.iter (fun row -> Index.add ix (Row.cell row col) (Row.tid row)) t.rows
 
 (* Columnar-mirror maintenance hooks --------------------------------------- *)
 
@@ -164,7 +176,7 @@ let insert t cells =
     assert (Row.tid (Vec.get t.rows (Vec.length t.rows - 1)) < tid);
   let row = Row.make ~tid cells in
   Vec.push t.rows row;
-  index_add t row;
+  index_add_to t.indexes row;
   (match t.columnar with
   | None -> ()
   | Some store -> Column.append store ~tid cells);
@@ -219,7 +231,7 @@ let create_index t ~name ~column ~kind =
   in
   let column_name = (Schema.column t.schema col).Schema.name in
   let ix = Index.create ~name ~column:col ~column_name kind in
-  Vec.iter (fun row -> Index.add ix (Row.cell row col) (Row.tid row)) t.rows;
+  index_rebuild t ix;
   t.indexes <- t.indexes @ [ ix ];
   ix
 
@@ -228,21 +240,10 @@ let drop_index t iname =
   | None -> Errors.catalog_error "no index %s on table %s" iname t.name
   | Some ix -> t.indexes <- List.filter (fun i -> i != ix) t.indexes
 
-(* Fetch the rows behind an index probe, in tid (= heap scan) order. *)
-let rows_of_tids t tids =
-  List.filter_map (find_by_tid t) (List.sort_uniq compare tids)
-
-let index_lookup t ix v = rows_of_tids t (Index.lookup ix v)
-
-let index_range t ix ?lo ?hi () = rows_of_tids t (Index.range ix ?lo ?hi ())
-
-(* Tid-only probe variant: the same tids in the same (tid) order as the
-   row-fetching version above, without materializing rows. The batch
-   executor resolves these against the columnar mirror positionally.
-   Monomorphic int sort + in-place dedup — the polymorphic sort_uniq in
-   [rows_of_tids] is measurable at large probes. *)
-let sorted_uniq_tids tids =
-  let a = Array.of_list tids in
+(* Tids of a probe, ascending and deduplicated: monomorphic int sort plus
+   in-place dedup (the polymorphic [List.sort_uniq compare] is
+   measurable at large probes). Sorts [a] in place. *)
+let sorted_uniq_tids (a : int array) =
   Array.sort Int.compare a;
   let n = Array.length a in
   if n = 0 then a
@@ -257,7 +258,24 @@ let sorted_uniq_tids tids =
     if !k = n then a else Array.sub a 0 !k
   end
 
-let index_lookup_tids _t ix v = sorted_uniq_tids (Index.lookup ix v)
+(* Fetch the rows behind ascending tids, in tid (= heap scan) order. *)
+let rows_of_sorted_tids t (tids : int array) =
+  Array.fold_right
+    (fun tid acc ->
+      match find_by_tid t tid with Some r -> r :: acc | None -> acc)
+    tids []
+
+(* Index buckets are already ascending and duplicate-free; a range
+   concatenates several. *)
+let index_lookup t ix v = rows_of_sorted_tids t (Index.lookup ix v)
+
+let index_range t ix ?lo ?hi () =
+  rows_of_sorted_tids t (sorted_uniq_tids (Index.range ix ?lo ?hi ()))
+
+(* Tid-only probe variant: the same tids in the same (tid) order as the
+   row-fetching version above, without materializing rows. The batch
+   executor resolves these against the columnar mirror positionally. *)
+let index_lookup_tids _t ix v = Index.lookup ix v
 
 (* Deletion --------------------------------------------------------------- *)
 
@@ -271,14 +289,31 @@ let bulk_load t rows =
   t.ver_unsafe <- t.ver_unsafe + 1;
   List.iter (fun cells -> ignore (insert t cells)) rows
 
-(* Keep rows satisfying [keep_row], unhooking the dropped ones from every
-   index; returns the number removed. *)
+(* Keep rows satisfying [keep_row] (called once per row); returns the
+   number removed. Each index drops the removed rows in one
+   [Index.remove_many] pass: every touched bucket is compacted once. *)
 let filter_rows t keep_row =
   t.ver_mut <- t.ver_mut + 1;
-  if t.indexes <> [] then
-    Vec.iter (fun r -> if not (keep_row r) then index_remove t r) t.rows;
-  let removed = Vec.filter_in_place keep_row t.rows in
-  if removed > 0 then columnar_rebuild t;
+  let dropped = ref [] in
+  let keep =
+    if t.indexes = [] then keep_row
+    else fun r ->
+      keep_row r
+      || begin
+           dropped := r :: !dropped;
+           false
+         end
+  in
+  let removed = Vec.filter_in_place keep t.rows in
+  if removed > 0 then begin
+    List.iter
+      (fun ix ->
+        let col = Index.column ix in
+        Index.remove_many ix (fun f ->
+            List.iter (fun r -> f (Row.cell r col) (Row.tid r)) !dropped))
+      t.indexes;
+    columnar_rebuild t
+  end;
   removed
 
 (* Delete all rows whose tid is NOT in [keep]; returns number removed. *)
@@ -302,24 +337,40 @@ let clear t =
 
 (* Update ----------------------------------------------------------------- *)
 
+(* An index whose key changes for some updated row is rebuilt from the
+   heap once at the end (an updated row keeps its old tid, which an
+   append-ordered bucket can't take cheaply one row at a time); an index
+   whose keys all stay put needs nothing. The [finally] keeps indexes
+   and mirror in sync with the rows already rewritten if [f] or the type
+   check raises part-way. *)
 let update_where t pred f =
   guard_no_txn t "update_where";
   t.ver_mut <- t.ver_mut + 1;
   t.ver_unsafe <- t.ver_unsafe + 1;
   let n = ref 0 in
-  Vec.iteri
-    (fun i r ->
-      if pred r then begin
-        let cells = f (Row.cells r) in
-        check_cells t cells;
-        let row' = Row.make ~tid:(Row.tid r) cells in
-        index_remove t r;
-        Vec.set t.rows i row';
-        index_add t row';
-        incr n
-      end)
-    t.rows;
-  if !n > 0 then columnar_rebuild t;
+  let stale = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (index_rebuild t) !stale;
+      if !n > 0 then columnar_rebuild t)
+    (fun () ->
+      Vec.iteri
+        (fun i r ->
+          if pred r then begin
+            let cells = f (Row.cells r) in
+            check_cells t cells;
+            List.iter
+              (fun ix ->
+                let c = Index.column ix in
+                if
+                  (not (List.memq ix !stale))
+                  && Value.compare (Row.cell r c) cells.(c) <> 0
+                then stale := ix :: !stale)
+              t.indexes;
+            Vec.set t.rows i (Row.make ~tid:(Row.tid r) cells);
+            incr n
+          end)
+        t.rows);
   !n
 
 (* Savepoints ------------------------------------------------------------- *)
@@ -339,9 +390,11 @@ let rollback_to t (sp : savepoint) =
   guard_frozen t "rollback_to";
   t.in_txn <- false;
   t.ver_mut <- t.ver_mut + 1;
+  (* Newest first: each row's tid is the newest under its key in every
+     index, so each step pops a bucket end — O(1), no allocation. *)
   if t.indexes <> [] then
     for i = Vec.length t.rows - 1 downto sp.sp_pos do
-      index_remove t (Vec.get t.rows i)
+      index_remove_from t.indexes (Vec.get t.rows i)
     done;
   Vec.truncate t.rows sp.sp_pos;
   (match t.columnar with

@@ -22,7 +22,17 @@
     equality, sorted for ranges. Every mutation path — [insert],
     [bulk_load], [delete_where], [retain_tids], [update_where],
     [rollback_to], [clear] — keeps them exactly consistent with the
-    heap. *)
+    heap, at a cost proportional to the rows it touches rather than to
+    the size of the index buckets involved (per index, on top of one key
+    probe per row):
+
+    - [insert], [bulk_load]: O(1) amortized per row;
+    - [rollback_to]: O(1) per discarded row, allocation-free;
+    - [delete_where], [retain_tids]: one {!Index.remove_many} per index,
+      compacting each touched bucket once;
+    - [update_where]: O(rows) rebuild of each index whose key changed
+      for some updated row; nothing for the others;
+    - [clear]: O(keys). *)
 
 type t
 
@@ -97,7 +107,8 @@ val index_range :
   t -> Index.t -> ?lo:Index.bound -> ?hi:Index.bound -> unit -> Row.t list
 
 (** Tid-only variant of {!index_lookup}: the same tids in the same
-    order (ascending, deduplicated), without fetching rows. The batch
+    order (ascending, deduplicated), without fetching rows or sorting
+    (index buckets are kept ascending). The batch
     executor maps these to columnar-mirror positions instead of
     materializing rows. *)
 val index_lookup_tids : t -> Index.t -> Value.t -> int array
@@ -119,11 +130,15 @@ val columnar : t -> Column.t option
 (** {1 Deletion and update} *)
 
 (** Delete all rows whose tid is {e not} in the given set; returns the
-    number removed. Used by log compaction's delete phase.
+    number removed. Used by log compaction's delete phase. One pass over
+    the heap; each index then compacts every bucket it lost a tid from
+    once (and the columnar mirror is rebuilt when anything was
+    removed).
     @raise Errors.Sql_error inside a savepoint. *)
 val retain_tids : t -> (int, unit) Hashtbl.t -> int
 
-(** Delete rows matching the predicate; returns the number removed.
+(** Delete rows matching the predicate (called once per row); returns
+    the number removed. Index upkeep as for {!retain_tids}.
     @raise Errors.Sql_error inside a savepoint. *)
 val delete_where : t -> (Row.t -> bool) -> int
 
@@ -133,6 +148,9 @@ val clear : t -> unit
 
 (** In-place update of matching rows; the callback receives the old cells
     and returns the new ones (type-checked). Returns the match count.
+    Each index whose key changed for some updated row is rebuilt from
+    the heap once, also when the callback or the type check raises
+    part-way (rows rewritten before the failure stay rewritten).
     @raise Errors.Sql_error inside a savepoint. *)
 val update_where : t -> (Row.t -> bool) -> (Value.t array -> Value.t array) -> int
 
@@ -144,7 +162,9 @@ val savepoint : t -> savepoint
 
 (** Truncate back to the savepoint, discarding rows appended since.
     Also restores the tid counter to its savepoint value, so the tids a
-    table hands out are independent of discarded tentative appends. *)
+    table hands out are independent of discarded tentative appends.
+    Rows leave the indexes newest first, each popping its bucket's end:
+    O(discarded rows), with no allocation on the index side. *)
 val rollback_to : t -> savepoint -> unit
 
 (** Keep the rows appended since the savepoint and close it. *)

@@ -2,8 +2,9 @@
 
     The heap is ground truth: after a random interleaving of inserts,
     deletes, updates, savepoint rollback/release and [retain_tids]
-    compaction, every declared index must agree exactly with a full heap
-    scan — same tid sets per value under {!Value.equal}, same tid sets
+    compaction — including long same-key runs, so buckets grow long and
+    removals hit both their newest and their oldest tids — every
+    declared index must agree exactly with a full heap scan — same tid sets per value under {!Value.equal}, same tid sets
     per range under {!Value.compare} (NULL cells excluded), and an entry
     count equal to the row count. A mid-stream [create_index] exercises
     the build-from-existing-rows path. *)
@@ -21,6 +22,10 @@ type op =
   | Update_b of int * int  (** WHERE a = k SET b = v *)
   | Compact  (** retain_tids keeping even tids *)
   | Txn of (int * int option) list * bool  (** savepoint + inserts; commit? *)
+  | Run of int * int * bool * bool
+      (** (key, n, commit?, compact?): a savepoint with [n] rows on one
+          key, committed or rolled back, then [Compact] (or [Delete_a]
+          of the key when [compact?] is false) *)
 
 let op_gen =
   let open QCheck.Gen in
@@ -38,6 +43,11 @@ let op_gen =
           (fun rows commit -> Txn (rows, commit))
           (list_size (int_range 0 5) (pair k cell))
           bool );
+      ( 1,
+        map2
+          (fun (key, n) (commit, compact) -> Run (key, n, commit, compact))
+          (pair k (int_range 200 2_000))
+          (pair bool bool) );
     ]
 
 let ops_gen = QCheck.Gen.list_size (QCheck.Gen.int_range 0 60) op_gen
@@ -53,10 +63,14 @@ let print_op = function
   | Txn (rows, commit) ->
     Printf.sprintf "txn(%d rows,%s)" (List.length rows)
       (if commit then "commit" else "rollback")
+  | Run (key, n, commit, compact) ->
+    Printf.sprintf "run(%d x%d,%s,%s)" key n
+      (if commit then "commit" else "rollback")
+      (if compact then "compact" else "del_a")
 
 let value_of_b = function None -> Value.Null | Some b -> Value.Int b
 
-let apply table op =
+let rec apply table op =
   match op with
   | Insert (a, b) -> ignore (Table.insert table [| Value.Int a; value_of_b b |])
   | Delete_a a ->
@@ -85,6 +99,9 @@ let apply table op =
       (fun (a, b) -> ignore (Table.insert table [| Value.Int a; value_of_b b |]))
       rows;
     if commit then Table.release table sp else Table.rollback_to table sp
+  | Run (key, n, commit, compact) ->
+    apply table (Txn (List.init n (fun _ -> (key, Some key)), commit));
+    apply table (if compact then Compact else Delete_a key)
 
 (* Ground truth: tids of rows whose [col] cell is [Value.equal] to [v]. *)
 let heap_eq_tids table col v =
@@ -132,16 +149,17 @@ let index_consistent table ix =
   Index.entries ix = Table.row_count table
   && List.for_all
        (fun v ->
-         List.sort compare (Index.lookup ix v) = heap_eq_tids table col v)
+         (* Buckets come back ascending: no sort on this side. *)
+         Array.to_list (Index.lookup ix v) = heap_eq_tids table col v)
        probe_values
-  && Index.lookup ix (Value.Int 999_999) = []
+  && Index.lookup ix (Value.Int 999_999) = [||]
   &&
   match Index.kind ix with
   | Index.Hash -> true
   | Index.Sorted ->
     List.for_all
       (fun (lo, hi) ->
-        List.sort compare (Index.range ix ?lo ?hi ())
+        List.sort compare (Array.to_list (Index.range ix ?lo ?hi ()))
         = heap_range_tids table col ?lo ?hi ())
       range_cases
 
@@ -188,7 +206,7 @@ let test_build_from_existing () =
   done;
   let ix = Table.create_index table ~name:"ix" ~column:"a" ~kind:Index.Hash in
   Alcotest.(check int) "entries = rows" 10 (Index.entries ix);
-  Alcotest.(check int) "bucket size" 4 (List.length (Index.lookup ix (Value.Int 0)))
+  Alcotest.(check int) "bucket size" 4 (Array.length (Index.lookup ix (Value.Int 0)))
 
 let test_clear_keeps_definition () =
   let table = fresh_table () in
@@ -259,6 +277,153 @@ let test_sql_ddl_roundtrip () =
     (Table.find_index table "ix_emp_sal" = None);
   ignore (Database.exec_script db "DROP INDEX IF EXISTS ix_emp_sal")
 
+(* [Index.remove] of a pair that is not there is a no-op: [entries] must
+   not drift below the real entry count. *)
+let test_remove_absent_is_noop () =
+  List.iter
+    (fun kind ->
+      let ix = Index.create ~name:"ix" ~column:0 ~column_name:"a" kind in
+      Index.add ix (Value.Int 1) 10;
+      Index.add ix (Value.Int 1) 11;
+      Index.remove ix (Value.Int 2) 10 (* absent value *);
+      Index.remove ix (Value.Int 1) 12 (* absent tid *);
+      Index.remove ix (Value.Int 1) 9 (* absent tid, below the bucket *);
+      Alcotest.(check int) "entries unchanged" 2 (Index.entries ix);
+      Alcotest.(check (array int)) "bucket intact" [| 10; 11 |]
+        (Index.lookup ix (Value.Int 1));
+      Index.remove ix (Value.Int 1) 10;
+      Index.remove ix (Value.Int 1) 10;
+      Alcotest.(check int) "one real removal" 1 (Index.entries ix);
+      Index.remove ix (Value.Float 1.) 11 (* Value.equal key *);
+      Index.remove ix (Value.Int 1) 11;
+      Alcotest.(check int) "emptied" 0 (Index.entries ix);
+      Alcotest.(check (array int)) "no bucket" [||] (Index.lookup ix (Value.Int 1)))
+    [ Index.Hash; Index.Sorted ]
+
+(* Keys that are [Value.equal] share a bucket (integral floats onto ints,
+   including past 2^53 where ints stop converting exactly); a NaN cell
+   can be found and removed again. *)
+let test_hash_key_equality () =
+  List.iter
+    (fun kind ->
+      let ix = Index.create ~name:"ix" ~column:0 ~column_name:"a" kind in
+      let big = (1 lsl 60) + 1 in
+      Index.add ix (Value.Int 2) 0;
+      Index.add ix (Value.Float 2.) 1;
+      Index.add ix (Value.Int big) 2;
+      Index.add ix (Value.Float (float_of_int big)) 3;
+      Index.add ix (Value.Float Float.nan) 4;
+      Index.add ix (Value.Float 0.) 5;
+      Index.add ix (Value.Float (-0.)) 6;
+      Alcotest.(check (array int)) "2 = 2.0" [| 0; 1 |]
+        (Index.lookup ix (Value.Int 2));
+      Alcotest.(check (array int)) "big int = its float" [| 2; 3 |]
+        (Index.lookup ix (Value.Float (float_of_int big)));
+      Alcotest.(check (array int)) "0.0 = -0.0" [| 5; 6 |]
+        (Index.lookup ix (Value.Int 0));
+      Index.remove ix (Value.Float Float.nan) 4;
+      Alcotest.(check (array int)) "NaN removed" [||]
+        (Index.lookup ix (Value.Float Float.nan));
+      Alcotest.(check int) "entries" 6 (Index.entries ix))
+    [ Index.Hash; Index.Sorted ]
+
+(* The engine's log-table layout: Sorted [ts], Hash [uid], columnar
+   mirror. A 20 000-row increment sharing one [ts] and one [uid] is
+   rolled back; the indexes must match the heap again, and the rollback
+   must allocate O(1) words per row. Allocation rather than wall time
+   keeps the check independent of the host. *)
+let test_log_rollback_linear () =
+  let table =
+    Table.create ~name:"log"
+      ~schema:
+        (Schema.make
+           [
+             ("ts", Ty.Int);
+             ("uid", Ty.Int);
+             ("otid", Ty.Int);
+             ("irid", Ty.Text);
+             ("itid", Ty.Int);
+           ])
+  in
+  let ts_ix = Table.create_index table ~name:"ix_ts" ~column:"ts" ~kind:Index.Sorted in
+  let uid_ix = Table.create_index table ~name:"ix_uid" ~column:"uid" ~kind:Index.Hash in
+  ignore (Table.enable_columnar table);
+  let row ts uid i =
+    [| Value.Int ts; Value.Int uid; Value.Int i; Value.Str "d_patients"; Value.Int (i mod 97) |]
+  in
+  for i = 0 to 999 do
+    ignore (Table.insert table (row (i / 100) (i mod 2) i))
+  done;
+  let before = Table.rows table in
+  let n = 20_000 in
+  let sp = Table.savepoint table in
+  for i = 0 to n - 1 do
+    ignore (Table.insert table (row 50 0 i))
+  done;
+  Alcotest.(check int) "uid bucket grew" (n + 500)
+    (Array.length (Index.lookup uid_ix (Value.Int 0)));
+  let w0 = Gc.minor_words () in
+  Table.rollback_to table sp;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "rollback allocates O(1) per row (%.0f words for %d rows)"
+       words n)
+    true
+    (words <= 4. *. float_of_int n);
+  Alcotest.(check int) "rows" 1000 (Table.row_count table);
+  Alcotest.(check bool) "heap restored" true (Table.rows table = before);
+  List.iter
+    (fun ix ->
+      Alcotest.(check int) "entries = rows" 1000 (Index.entries ix);
+      List.iter
+        (fun v ->
+          Alcotest.(check (list int)) "bucket = heap"
+            (heap_eq_tids table (Index.column ix) v)
+            (Array.to_list (Index.lookup ix v)))
+        (Value.Int 50 :: probe_values))
+    [ ts_ix; uid_ix ];
+  let tids_of rows = List.map Row.tid rows in
+  Alcotest.(check (list int)) "ts range after rollback"
+    (heap_range_tids table 0 ~lo:(Value.Int 5, true) ())
+    (tids_of (Table.index_range table ts_ix ~lo:(Value.Int 5, true) ()));
+  (* Tids resume where the savepoint left them. *)
+  Alcotest.(check int) "next tid" 1000 (Table.insert table (row 50 0 0))
+
+(* Bulk deletes maintain each index in one pass per touched bucket: a
+   compaction dropping the oldest half of a 20 000-row bucket must not
+   pay removals x bucket. *)
+let test_bulk_delete_linear () =
+  let table = fresh_table () in
+  let ix_a = Table.create_index table ~name:"ix_a" ~column:"a" ~kind:Index.Hash in
+  let ix_b = Table.create_index table ~name:"ix_b" ~column:"b" ~kind:Index.Sorted in
+  let n = 20_000 in
+  for i = 0 to n - 1 do
+    ignore (Table.insert table [| Value.Int 0; Value.Int (i mod 3) |])
+  done;
+  let keep = Hashtbl.create n in
+  for tid = n / 2 to n - 1 do
+    Hashtbl.replace keep tid ()
+  done;
+  let w0 = Gc.minor_words () in
+  let removed = Table.retain_tids table keep in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "removed" (n / 2) removed;
+  Alcotest.(check bool)
+    (Printf.sprintf "retain allocates O(rows) (%.0f words)" words)
+    true
+    (words <= 8. *. float_of_int n);
+  List.iter
+    (fun ix -> Alcotest.(check bool) "consistent" true (index_consistent table ix))
+    [ ix_a; ix_b ];
+  ignore (Table.delete_where table (fun r -> Row.tid r mod 2 = 0));
+  ignore
+    (Table.update_where table
+       (fun r -> Row.tid r mod 3 = 0)
+       (fun c -> [| c.(0); Value.Int 7 |]));
+  List.iter
+    (fun ix -> Alcotest.(check bool) "consistent" true (index_consistent table ix))
+    [ ix_a; ix_b ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest [ prop_indexes_agree_with_heap ]
   @ [
@@ -268,4 +433,8 @@ let suite =
       tc "catalog generation bumps on index DDL" test_catalog_generation_bumps;
       tc "dropping a table frees its index names" test_drop_table_unregisters_indexes;
       tc "CREATE/DROP INDEX via SQL" test_sql_ddl_roundtrip;
+      tc "remove of an absent pair is a no-op" test_remove_absent_is_noop;
+      tc "index keys follow Value.equal (ints, floats, NaN)" test_hash_key_equality;
+      tc "log-table rollback is linear and allocation-free" test_log_rollback_linear;
+      tc "bulk delete maintains indexes in one pass" test_bulk_delete_linear;
     ]
