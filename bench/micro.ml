@@ -253,82 +253,6 @@ let warm_submit engine =
   | Engine.Rejected _ -> failwith "bench policies must accept"
   | Engine.Accepted _ -> ()
 
-(* Domain pool: N expensive policies (nested-loop self-joins over a
-   preloaded users log, accepted thanks to huge HAVING thresholds)
-   checked per submission, serial vs pooled — the ISSUE 4 acceptance
-   measurement. The >= 1.3x floor at 4 domains asserts only where the
-   host can actually run domains in parallel (CI's multi-core runners);
-   on a single-core host the pooled run cannot win and the gate is
-   skipped with a notice. *)
-let parallel_case () =
-  Common.header "Domain pool: per-submission policy fan-out, serial vs pooled";
-  let open Relational in
-  let smoke = !Common.smoke in
-  let n_log_rows = if smoke then 200 else 400 in
-  let n_policies = if smoke then 6 else 8 in
-  let iters = if smoke then 3 else 10 in
-  let run_with ~domains =
-    let db = Database.create () in
-    ignore
-      (Database.exec_script db
-         "CREATE TABLE data (k INT, v TEXT); INSERT INTO data VALUES (1, \
-          'a'), (2, 'b')");
-    let config =
-      {
-        Engine.default_config with
-        Engine.strategy = Engine.Serial;
-        (* unification would collapse the structurally-identical policies
-           into one query and erase the fan-out being measured *)
-        unification = false;
-        log_compaction = false;
-        domains;
-      }
-    in
-    let engine = Engine.create ~config db in
-    register_then_preload engine ~n_rows:n_log_rows
-      ~policies:
-        (List.init n_policies (fun j ->
-             let k = j + 1 in
-             ( Printf.sprintf "expensive%d" k,
-               Printf.sprintf
-                 "SELECT DISTINCT 'expensive %d' FROM users u, users v, clock \
-                  c WHERE u.ts > v.ts - %d AND u.ts <= c.ts AND u.uid * v.uid \
-                  > 1000000000 HAVING COUNT(DISTINCT u.ts) > 1000000"
-                 k (5 + k) )));
-    (* warm: compile every plan once *)
-    warm_submit engine;
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1")
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int iters in
-    let _, batches, tasks = Engine.parallel_stats engine in
-    (dt, batches, tasks)
-  in
-  let serial, _, _ = run_with ~domains:1 in
-  Printf.printf "%d policies x %d log rows, serial: %.1f ms/submission\n"
-    n_policies n_log_rows (serial *. 1000.);
-  let speedup4 = ref 0. in
-  List.iter
-    (fun domains ->
-      let pooled, batches, tasks = run_with ~domains in
-      let sp = serial /. pooled in
-      if domains = 4 then speedup4 := sp;
-      Printf.printf
-        "  %d domains: %.1f ms/submission (%.2fx, %d batches, %d tasks)\n"
-        domains (pooled *. 1000.) sp batches tasks)
-    [ 2; 4 ];
-  if Domain.recommended_domain_count () >= 2 then begin
-    if !speedup4 < 1.3 then begin
-      Printf.printf
-        "FAIL: 4-domain speedup %.2fx is below the 1.3x floor\n" !speedup4;
-      exit 1
-    end
-  end
-  else
-    Printf.printf
-      "(single-core host: the >= 1.3x pooled-speedup floor is skipped)\n"
-
 (* Incremental evaluation: per-submission policy-evaluation latency of a
    delta-eligible SPJ policy over a growing preloaded usage log, delta on
    vs off — the ISSUE 5 acceptance measurement. Full evaluation rescans
@@ -360,10 +284,8 @@ let delta_case () =
         preemptive = false;
         improved_partial = false;
         unification = false;
-        domains = 1;
         delta;
         relevance = false;
-        shared_scans = false;
         vectorized = Engine.default_vector;
       }
     in
@@ -440,10 +362,8 @@ let delta_agg_case () =
         preemptive = false;
         improved_partial = false;
         unification = false;
-        domains = 1;
         delta;
         relevance = false;
-        shared_scans = false;
         vectorized = Engine.default_vector;
       }
     in
@@ -529,10 +449,8 @@ let vectorized_case () =
         preemptive = false;
         improved_partial = false;
         unification = false;
-        domains = 1;
         delta = false;
         relevance = false;
-        shared_scans = false;
         vectorized;
       }
     in
@@ -707,7 +625,6 @@ let bechamel_case () =
 let run () =
   index_case ();
   upkeep_case ();
-  parallel_case ();
   delta_case ();
   delta_agg_case ();
   vectorized_case ();

@@ -20,11 +20,9 @@ let naive_config =
   {
     Engine.default_config with
     Engine.strategy = Engine.Serial;
-    domains = 1;
     delta = false;
     unification = false;
     relevance = false;
-    shared_scans = false;
   }
 
 (* Pinned on, not inherited: the experiment must measure the scaled
@@ -32,11 +30,9 @@ let naive_config =
 let scaled_config =
   {
     Engine.default_config with
-    Engine.domains = 1;
-    delta = true;
+    Engine.delta = true;
     unification = true;
     relevance = true;
-    shared_scans = true;
   }
 
 let admission_query = "SELECT v FROM data WHERE k = 1"

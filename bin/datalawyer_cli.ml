@@ -20,19 +20,10 @@ let fsync_of_string s =
     | _ -> Error (`Msg (Printf.sprintf "bad fsync interval in %S" s)))
   | _ -> Error (`Msg (Printf.sprintf "unknown fsync policy %S (always|never|interval:N)" s))
 
-let make_engine ~noopt ~with_table2 ?domains ?delta ?persist_dir ?persist_fsync
-    () =
+let make_engine ~noopt ~with_table2 ?delta ?persist_dir ?persist_fsync () =
   let mimic = Mimic.Generate.small_config in
   let db = Mimic.Generate.database ~config:mimic () in
   let config = if noopt then Engine.noopt_config else Engine.default_config in
-  let config =
-    match domains with
-    | Some n when n >= 1 -> { config with Engine.domains = n }
-    | Some n ->
-      Printf.eprintf "--domains %d: must be >= 1\n" n;
-      exit 2
-    | None -> config
-  in
   let config =
     match delta with
     | Some b -> { config with Engine.delta = b }
@@ -80,7 +71,7 @@ let make_engine ~noopt ~with_table2 ?domains ?delta ?persist_dir ?persist_fsync
 
 (* [repl --serve PORT]: run the policy server instead of the console.
    Blocks until stdin closes or Ctrl-C, then shuts down cleanly (drains
-   the admission queue, closes the store, stops the domain pools). *)
+   the admission queue, closes the store). *)
 let run_server engine ~port ~max_batch =
   let config = { Server.Tcp.default_config with Server.Tcp.port; max_batch } in
   let srv = Server.Tcp.start ~config engine in
@@ -109,8 +100,7 @@ let repl_help =
   :drop NAME            remove a policy
   :log                  show usage-log sizes (and on-disk state)
   :stats                show index, plan-cache, delta-eval, unification,
-                        relevance-index, shared-scan and vectorized-executor
-                        statistics
+                        relevance-index and vectorized-executor statistics
   :checkpoint           force a persistence checkpoint
   :tables               list tables
   :load TABLE FILE.csv  import a CSV file (creates the table if needed)
@@ -119,7 +109,7 @@ let repl_help =
 CREATE/DROP statements (e.g. CREATE INDEX ix ON t USING hash (col))
 run directly; anything else is SQL, checked against the policies|}
 
-let run_repl noopt no_policies domains delta persist_dir persist_fsync serve
+let run_repl noopt no_policies delta persist_dir persist_fsync serve
     serve_batch =
   (* Under --serve the admission pipeline group-commits: it forces one
      synced flush per batch, so the WAL itself should buffer. An
@@ -130,8 +120,8 @@ let run_repl noopt no_policies domains delta persist_dir persist_fsync serve
     | _ -> persist_fsync
   in
   let db, engine =
-    make_engine ~noopt ~with_table2:(not no_policies) ?domains ?delta
-      ?persist_dir ?persist_fsync ()
+    make_engine ~noopt ~with_table2:(not no_policies) ?delta ?persist_dir
+      ?persist_fsync ()
   in
   match serve with
   | Some port ->
@@ -192,12 +182,7 @@ let run_repl noopt no_policies domains delta persist_dir persist_fsync serve
               else
                 Printf.sprintf " (%.1f%% hit rate)"
                   (100. *. float_of_int hits /. float_of_int total));
-           Printf.printf "  index probes: %d\n" (Atomic.get Executor.index_probes);
-           let domains, batches, tasks = Engine.parallel_stats engine in
-           Printf.printf "  parallel: %d domain%s, %d batches, %d tasks\n"
-             domains
-             (if domains = 1 then " (serial path)" else "s")
-             batches tasks;
+           Printf.printf "  index probes: %d\n" !Executor.index_probes;
            let d = Engine.delta_stats engine in
            Printf.printf "  delta plans: %d eligible, %d fallback\n"
              d.Engine.eligible_plans d.Engine.fallback_plans;
@@ -218,13 +203,6 @@ let run_repl noopt no_policies domains delta persist_dir persist_fsync serve
                 Printf.sprintf " (%.1f%% skipped)"
                   (100. *. float_of_int r.Engine.rel_skips
                   /. float_of_int r.Engine.rel_checks));
-           let sh, sm = Engine.shared_scan_stats engine in
-           let stot = sh + sm in
-           Printf.printf "  shared scans: %d hits / %d misses%s\n" sh sm
-             (if stot = 0 then ""
-              else
-                Printf.sprintf " (%.1f%% hit rate)"
-                  (100. *. float_of_int sh /. float_of_int stot));
            let v = Engine.vector_stats engine in
            Printf.printf
              "  vectorized: %s, %d batches, %d rows, %d row-path fallbacks\n"
@@ -327,10 +305,9 @@ let run_repl noopt no_policies domains delta persist_dir persist_fsync serve
 
 (* check ------------------------------------------------------------------ *)
 
-let run_check policy_files query_file uid domains delta persist_dir
-    persist_fsync =
+let run_check policy_files query_file uid delta persist_dir persist_fsync =
   let db, engine =
-    make_engine ~noopt:false ~with_table2:false ?domains ?delta ?persist_dir
+    make_engine ~noopt:false ~with_table2:false ?delta ?persist_dir
       ?persist_fsync ()
   in
   ignore db;
@@ -393,16 +370,6 @@ let noopt =
 
 let no_policies =
   Arg.(value & flag & info [ "no-policies" ] ~doc:"Start without the Table 2 policies.")
-
-let domains =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Evaluating domains for policy, partial-policy and witness-query \
-           batches. $(b,1) forces the serial code path (no pool); the \
-           default honours $(b,DL_DOMAINS) or the machine's core count.")
 
 let delta =
   Arg.(
@@ -469,7 +436,7 @@ let repl_cmd =
        ~doc:"Interactive SQL console with policy enforcement (or --serve)")
     Term.(
       ret
-        (const run_repl $ noopt $ no_policies $ domains $ delta $ persist_dir
+        (const run_repl $ noopt $ no_policies $ delta $ persist_dir
        $ persist_fsync $ serve $ serve_batch))
 
 let check_cmd =
@@ -486,8 +453,8 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Check one query against policies; exit 1 on violation")
     Term.(
       ret
-        (const run_check $ policies $ query $ uid $ domains $ delta
-       $ persist_dir $ persist_fsync))
+        (const run_check $ policies $ query $ uid $ delta $ persist_dir
+       $ persist_fsync))
 
 let demo_cmd =
   Cmd.v (Cmd.info "demo" ~doc:"Short guided tour") Term.(ret (const run_demo $ const ()))

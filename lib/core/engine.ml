@@ -26,25 +26,13 @@ type config = {
   preemptive : bool;
   improved_partial : bool;
   strategy : strategy;
-  domains : int;
   delta : bool;
   relevance : bool;
-  shared_scans : bool;
   vectorized : bool;
 }
 
-(* Default evaluation parallelism: the DL_DOMAINS environment variable
-   when set (CI pins the serial and pooled paths with it), otherwise one
-   less than the hardware's recommendation — leaving a core for the rest
-   of the system — and never below 1 ([domains = 1] is the strictly
-   serial path: no pool is spawned and no parallel code runs). *)
-let default_domains =
-  match Sys.getenv_opt "DL_DOMAINS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> 1)
-  | None -> max 1 (Domain.recommended_domain_count () - 1)
+(* Read only by the perfbench harness: evaluation is serial. *)
+let default_domains = 1
 
 (* Incremental policy evaluation defaults on; DL_DELTA=0 pins the
    pre-existing full-re-evaluation path (CI runs the suite both ways). *)
@@ -78,10 +66,8 @@ let noopt_config =
     preemptive = false;
     improved_partial = false;
     strategy = Union_all;
-    domains = default_domains;
     delta = default_delta;
     relevance = false;
-    shared_scans = false;
     vectorized = default_vector;
   }
 
@@ -94,10 +80,8 @@ let default_config =
     preemptive = true;
     improved_partial = true;
     strategy = Interleaved;
-    domains = default_domains;
     delta = default_delta;
     relevance = true;
-    shared_scans = true;
     vectorized = default_vector;
   }
 
@@ -136,27 +120,17 @@ type t = {
   prepared : Prepared.t;
       (** compiled-plan cache for policy, partial-policy and witness
           queries; invalidated through the same catalog generation
-          counter as the evaluation plan (see {!invalidate}); sharded
-          per domain so pool workers never share compiled closures *)
-  mutable pool : Parallel.Pool.t option;
-      (** domain pool for parallel evaluation batches; fetched lazily
-          from the process-wide registry when [config.domains > 1] *)
-  mutable par_batches : int;  (** parallel batches dispatched *)
-  mutable par_tasks : int;  (** tasks executed across those batches *)
+          counter as the evaluation plan (see {!invalidate}) *)
   mutable adm_fast : int;  (** admission batches decided on the fast path *)
   mutable adm_retried : int;
       (** fast-path batches that saw a violation and replayed serially *)
   mutable adm_ineligible : int;
       (** admission batches that went straight to the serial path *)
   mutable adm_submissions : int;  (** submissions across all admission batches *)
-  rel_checks : int Atomic.t;
-      (** relevance-index consultations (atomic: incremented inside pool
-          tasks) *)
-  rel_skips : int Atomic.t;  (** policies skipped as provably unaffected *)
+  mutable rel_checks : int;  (** relevance-index consultations *)
+  mutable rel_skips : int;  (** policies skipped as provably unaffected *)
   delta_store : Incremental.Delta_store.t;
-      (** per-policy emptiness bases for incremental evaluation; written
-          only between submissions, read (with atomic counters) by pool
-          workers during batches *)
+      (** per-policy emptiness bases for incremental evaluation *)
   relevance_store : Incremental.Delta_store.t;
       (** the relevance index's own emptiness bases, kept apart from the
           delta bases because the two proofs snapshot different
@@ -279,15 +253,12 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       persist = None;
       persist_scope = [];
       prepared = Prepared.create (Database.catalog db);
-      pool = None;
-      par_batches = 0;
-      par_tasks = 0;
       adm_fast = 0;
       adm_retried = 0;
       adm_ineligible = 0;
       adm_submissions = 0;
-      rel_checks = Atomic.make 0;
-      rel_skips = Atomic.make 0;
+      rel_checks = 0;
+      rel_skips = 0;
       delta_store = Incremental.Delta_store.create ();
       relevance_store = Incremental.Delta_store.create ();
     }
@@ -459,46 +430,9 @@ let plan_cache_stats t = Prepared.stats t.prepared
 
 let clear_plan_cache t = Prepared.clear t.prepared
 
-(* Parallel runtime -------------------------------------------------------- *)
-
-(* The pool evaluating this engine's parallel batches, or [None] on the
-   strictly serial path. [config.domains] counts evaluating domains: the
-   submitting domain helps drain each batch, so the pool holds
-   [domains - 1] workers. Pools come from the process-wide registry
-   ({!Parallel.Pool.shared}) — engines with the same width share one
-   pool, keeping the spawned-domain count bounded no matter how many
-   engines a process creates. *)
-let pool_of t : Parallel.Pool.t option =
-  if t.config.domains <= 1 then None
-  else
-    Some
-      (match t.pool with
-      | Some p
-        when Parallel.Pool.workers p = t.config.domains - 1
-             && not (Parallel.Pool.is_stopped p) ->
-        p
-      | Some _ | None ->
-        let p = Parallel.Pool.shared ~workers:(t.config.domains - 1) in
-        t.pool <- Some p;
-        p)
-
-(* Every query a parallel batch evaluates reads a frozen database state:
-   increments are appended tentatively *before* evaluation, commitment
-   mutations happen after the join, and registration/DDL only run
-   between submissions. Under [Table.debug_checks] we turn that
-   guarantee into an assertion by freeze-marking every table for the
-   span of the batch — any mutation attempt (a would-be cross-domain
-   data race) then raises instead of corrupting. *)
-let with_frozen t (f : unit -> 'a) : 'a =
-  if not !Table.debug_checks then f ()
-  else begin
-    let cat = Database.catalog t.db in
-    let tables = List.map (Catalog.find cat) (Catalog.table_names cat) in
-    List.iter Table.freeze tables;
-    Fun.protect ~finally:(fun () -> List.iter Table.thaw tables) f
-  end
-
-let parallel_stats t = (t.config.domains, t.par_batches, t.par_tasks)
+(* Read only by the perfbench harness: (domains, parallel batches,
+   tasks) of the serial engine. *)
+let parallel_stats (_ : t) = (1, 0, 0)
 
 (* Online phase ------------------------------------------------------------ *)
 
@@ -515,32 +449,6 @@ let generator_for t rel =
   match Hashtbl.find_opt t.gen_index rel with
   | Some g -> g
   | None -> Errors.catalog_error "no log-generating function for %s" rel
-
-(* Fan a batch of independent read-only evaluations out over the pool.
-   Each task accumulates into a private {!Stats.t} (no cross-domain
-   mutation) merged into the submission's record after the join; result
-   order follows input order, so violation lists keep registration-rank
-   order; an exception in any task is re-raised (first in input order)
-   only after the whole batch has joined, so tables are never unfrozen
-   under a still-running task. *)
-let par_map t (sub : submission) (pool : Parallel.Pool.t)
-    (f : Stats.t -> 'a -> 'b) (xs : 'a list) : 'b list =
-  t.par_batches <- t.par_batches + 1;
-  t.par_tasks <- t.par_tasks + List.length xs;
-  with_frozen t (fun () ->
-      let results =
-        Parallel.Pool.map pool
-          (fun x ->
-            let stats = Stats.create () in
-            let r = f stats x in
-            (stats, r))
-          xs
-      in
-      List.map
-        (fun (stats, r) ->
-          Stats.merge_into sub.stats stats;
-          r)
-        results)
 
 (* Run the log-generating function for [rel] under [ctx] and tentatively
    append the increment. The savepoint is opened at the relation's first
@@ -576,19 +484,16 @@ let gen_rel_for t (sub : submission) (ctx : Usage_log.query_ctx) rel =
 let gen_rel t (sub : submission) rel =
   if not (Hashtbl.mem sub.generated rel) then gen_rel_for t sub sub.ctx rel
 
-(* Evaluate a policy query; returns the violation message if non-empty.
-   [stats] is the record to charge — the submission's on the serial
-   path, a task-private one inside a parallel batch. *)
-let eval_query t ~(stats : Stats.t) ?(track_src = false) (q : Ast.query) :
+(* Evaluate a policy query; returns the violation message if non-empty. *)
+let eval_query t (sub : submission) ?(track_src = false) (q : Ast.query) :
     Executor.result option =
+  let stats = sub.stats in
   Stats.timed
     (fun d -> stats.Stats.policy_eval <- stats.Stats.policy_eval +. d)
     (fun () ->
       stats.Stats.policy_calls <- stats.Stats.policy_calls + 1;
       let opts = { Executor.lineage = false; track_src } in
-      let r =
-        Prepared.run t.prepared ~opts ~share:t.config.shared_scans q
-      in
+      let r = Prepared.run t.prepared ~opts q in
       match r.Executor.out_rows with [] -> None | _ -> Some r)
 
 (* Every distinct string a violation result projects. A plain policy
@@ -611,8 +516,8 @@ let messages_of_result (p : Policy.t) (r : Executor.result) : string list =
 
 (* Incremental evaluation --------------------------------------------------- *)
 
-(* The compiled delta variants of a policy's query, via the per-domain
-   prepared cache; [None] when delta evaluation is off or the query is
+(* The compiled delta variants of a policy's query, via the prepared
+   cache; [None] when delta evaluation is off or the query is
    not delta-eligible (see {!Optimizer.derive_delta}). *)
 let delta_entry t (p : Policy.t) : Executor.delta_compiled option =
   if not t.config.delta then None
@@ -648,13 +553,8 @@ let delta_entry t (p : Policy.t) : Executor.delta_compiled option =
      the carried accumulators yields each touched group's exact state
      (carried = rows below the watermarks, by establishment). Untouched
      groups' state is unchanged from the proved-empty base, so HAVING —
-     a function of group state alone — still rejects them.
-
-   Inside parallel batches this runs on worker domains over frozen
-   tables: carried aggregate state is only read (scratch clones are
-   task-local), and the per-branch states were created on the serial
-   establishment path, so the store's tables are not mutated here. *)
-let delta_try t ~(stats : Stats.t) (p : Policy.t) :
+     a function of group state alone — still rejects them. *)
+let delta_try t (sub : submission) (p : Policy.t) :
     Executor.result option option =
   match delta_entry t p with
   | None -> None
@@ -691,6 +591,7 @@ let delta_try t ~(stats : Stats.t) (p : Policy.t) :
     end
     else begin
       Incremental.Delta_store.note_delta_eval t.delta_store;
+      let stats = sub.stats in
       Stats.timed
         (fun d -> stats.Stats.policy_eval <- stats.Stats.policy_eval +. d)
         (fun () ->
@@ -898,8 +799,7 @@ let establish_bases t (pl : plan) =
    the current tick alone), its enumerated filter sources are
    untouched, and no row of the tentative increment can bind any of its
    log slots. All of that together pins the result to the base's:
-   empty, so evaluation is skipped. Read-only over frozen state, so
-   safe inside pool tasks. *)
+   empty, so evaluation is skipped. *)
 let irrelevant ?available t (pl : plan) (p : Policy.t) : bool =
   t.config.relevance
   &&
@@ -908,7 +808,7 @@ let irrelevant ?available t (pl : plan) (p : Policy.t) : bool =
   | Some info ->
     info.Relevance.eligible
     && begin
-      Atomic.incr t.rel_checks;
+      t.rel_checks <- t.rel_checks + 1;
       let cat = Database.catalog t.db in
       (* A TI-pinned policy's verdict is emptiness at the current tick —
          blocked slots decide it with no base (its clock dependency
@@ -922,7 +822,7 @@ let irrelevant ?available t (pl : plan) (p : Policy.t) : bool =
           ~vers
       in
       let skip = based && Relevance.blocked ?available cat info in
-      if skip then Atomic.incr t.rel_skips;
+      if skip then t.rel_skips <- t.rel_skips + 1;
       skip
     end
 
@@ -967,12 +867,12 @@ let relevance_stats t : relevance_stats =
   {
     rel_indexed = Relevance.size idx;
     rel_eligible = Relevance.eligible_count idx;
-    rel_checks = Atomic.get t.rel_checks;
-    rel_skips = Atomic.get t.rel_skips;
+    rel_checks = t.rel_checks;
+    rel_skips = t.rel_skips;
   }
 
-(* (hits, misses) of the shared-scan materialization cache. *)
-let shared_scan_stats t = Prepared.shared_stats t.prepared
+(* Read only by the perfbench harness: scans are never shared. *)
+let shared_scan_stats (_ : t) = (0, 0)
 
 type vector_stats = {
   vec_enabled : bool;  (** this engine's configured route *)
@@ -1003,9 +903,9 @@ let vector_stats t : vector_stats =
   in
   {
     vec_enabled = t.config.vectorized;
-    vec_batches = Atomic.get Compile_batch.batches_built;
-    vec_rows = Atomic.get Compile_batch.batch_rows;
-    vec_fallbacks = Atomic.get Compile_batch.row_fallbacks;
+    vec_batches = !Compile_batch.batches_built;
+    vec_rows = !Compile_batch.batch_rows;
+    vec_fallbacks = !Compile_batch.row_fallbacks;
     vec_hist = Compile_batch.hist_snapshot ();
     vec_typed_cols = typed;
     vec_mixed_cols = mixed;
@@ -1035,8 +935,8 @@ let unify_stats t : unify_stats =
    draw only on committed (pre-increment) log tuples proves the policy
    still holds, provided the policy's log relations are all ts-joined and
    the partial query retains at least one log relation. *)
-let independent_of_increment t ~(stats : Stats.t) (sub : submission)
-    (p : Policy.t) (partial_q : Ast.query) : bool =
+let independent_of_increment t (sub : submission) (p : Policy.t)
+    (partial_q : Ast.query) : bool =
   let is_log = is_log t in
   let ts_joined =
     match p.Policy.query with
@@ -1061,7 +961,7 @@ let independent_of_increment t ~(stats : Stats.t) (sub : submission)
   in
   if not (ts_joined && has_log_slot) then false
   else
-    match eval_query t ~stats ~track_src:true partial_q with
+    match eval_query t sub ~track_src:true partial_q with
     | None -> true (* raced to empty: certainly independent *)
     | Some r ->
       let slot_rel = Array.of_list slot_rels in
@@ -1078,34 +978,27 @@ let independent_of_increment t ~(stats : Stats.t) (sub : submission)
             row.Executor.src_tids)
         r.Executor.out_rows
 
-(* Full evaluation of a policy batch. The policies of one submission are
-   mutually independent read-only queries over the frozen tentative
-   state, so with a pool they fan out one task per policy; results come
-   back in input order, keeping the violation list in registration-rank
-   order exactly as the serial loop produces it. With [domains = 1]
-   ([pool = None]) this is the pre-existing serial loop, unchanged. *)
-let eval_full t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
-    (ps : Policy.t list) : (Policy.t * string) list =
-  let eval stats p =
+(* Full evaluation of a policy batch, one policy after another; the
+   violation list keeps registration-rank order. *)
+let eval_full t (sub : submission) (pl : plan) (ps : Policy.t list) :
+    (Policy.t * string) list =
+  let eval p =
     if irrelevant t pl p then [] (* increment can't touch it: holds *)
     else
-      match delta_try t ~stats p with
+      match delta_try t sub p with
       | Some None -> [] (* delta plans all empty: policy holds *)
       | Some (Some r) ->
         List.map (fun m -> (p, m)) (messages_of_result p r)
       | None -> (
-        match eval_query t ~stats p.Policy.query with
+        match eval_query t sub p.Policy.query with
         | Some r -> List.map (fun m -> (p, m)) (messages_of_result p r)
         | None -> [])
   in
-  match pool with
-  | Some pool when List.length ps > 1 ->
-    List.concat (par_map t sub pool eval ps)
-  | Some _ | None -> List.concat_map (eval sub.stats) ps
+  List.concat_map eval ps
 
 (* Interleaved policy evaluation (Algorithm 3). Returns violations. *)
-let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
-    (pl : plan) : (Policy.t * string) list =
+let run_interleaved t (sub : submission) (pl : plan) :
+    (Policy.t * string) list =
   let is_log = is_log t in
   let needed =
     List.sort_uniq String.compare
@@ -1127,12 +1020,10 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
         available := rel :: !available
       end;
       if !remaining <> [] then begin
-        (* One partial-policy check per remaining policy: independent
-           read-only queries over the logs generated so far (the
-           increment for [rel] is already appended), so with a pool they
-           run as one parallel batch; the filter keeps input order
-           either way. *)
-        let keep stats p =
+        (* One partial-policy check per remaining policy, over the logs
+           generated so far (the increment for [rel] is already
+           appended). *)
+        let keep p =
           (* The relevance index first: the slots restricted to the
              relations generated so far, whose deltas are final. A
              skipped policy is proved to hold outright — no partial
@@ -1142,18 +1033,18 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
           (* Interleavable policies evaluate the genuine πS; policies
              admitted via core-prunability evaluate the monotone
              HAVING-stripped core instead (empty core ⇒ π empty). *)
-          let full stats p =
+          let full p =
             let pq =
               Partial.of_query ~is_log ~available:!available p.Policy.query
             in
             let pq =
               if p.Policy.interleavable then pq else Partial.strip_having pq
             in
-            match eval_query t ~stats pq with
+            match eval_query t sub pq with
             | None -> false (* partial policy empty: π satisfied *)
             | Some _ when
                 p.Policy.interleavable && t.config.improved_partial
-                && independent_of_increment t ~stats sub p pq ->
+                && independent_of_increment t sub p pq ->
               false
             | Some _ -> true
           in
@@ -1167,98 +1058,67 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
             List.for_all (fun r -> List.mem r !available) p.Policy.log_rels
           in
           if covered && p.Policy.interleavable then
-            match delta_try t ~stats p with
+            match delta_try t sub p with
             | Some None -> false
-            | Some (Some _) | None -> full stats p
-          else full stats p
+            | Some (Some _) | None -> full p
+          else full p
         in
-        remaining :=
-          (match pool with
-          | Some pool when List.length !remaining > 1 ->
-            let keeps = par_map t sub pool keep !remaining in
-            List.filter_map
-              (fun (p, k) -> if k then Some p else None)
-              (List.combine !remaining keeps)
-          | Some _ | None -> List.filter (keep sub.stats) !remaining)
+        remaining := List.filter keep !remaining
       end)
     gens;
   (* Policies still standing are evaluated in full: interleavable ones are
      genuine violations (S covers their relations), core-pruned ones may
      still be saved by their HAVING. *)
-  eval_full t sub pool pl !remaining
+  eval_full t sub pl !remaining
 
 (* Serial / union evaluation over a policy list. *)
-let run_serial t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
-    (ps : Policy.t list) : (Policy.t * string) list =
+let run_serial t (sub : submission) (pl : plan) (ps : Policy.t list) :
+    (Policy.t * string) list =
   List.iter (fun p -> List.iter (gen_rel t sub) p.Policy.log_rels) ps;
-  eval_full t sub pool pl ps
+  eval_full t sub pl ps
 
-let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
-    (ps : Policy.t list) : (Policy.t * string) list =
+let run_union t (sub : submission) (pl : plan) (ps : Policy.t list) :
+    (Policy.t * string) list =
   match ps with
   | [] -> []
-  | first :: others ->
+  | first :: _ ->
     List.iter (fun p -> List.iter (gen_rel t sub) p.Policy.log_rels) ps;
-    (* The violated rows: on the serial path, from the one big UNION of
-       Algorithm 1; with a pool, each branch evaluates as its own task
-       and the rows are concatenated. UNION's row dedup is absorbed by
-       the [sort_uniq] over extracted messages below, so both forms see
-       the same message set and produce identical violation lists. *)
     let violated_rows : Executor.row_out list option =
-      match pool with
-      | Some pool when others <> [] ->
-        let rs =
-          par_map t sub pool
-            (fun stats p ->
-              if irrelevant t pl p then None
-              else
-                match delta_try t ~stats p with
-                | Some res -> res
-                | None -> eval_query t ~stats p.Policy.query)
-            ps
-        in
-        if List.for_all Option.is_none rs then None
-        else
-          Some
-            (List.concat_map
-               (function Some r -> r.Executor.out_rows | None -> [])
-               rs)
-      | Some _ | None ->
-        (* Delta-decided policies peel off the UNION: each one's verdict
-           comes from its delta plans alone, contributing its violation
-           rows (all-constant projections, so exactly the rows full
-           evaluation would add); the rest evaluate through the original
-           UNION chain. Both row sets feed the same message extraction
-           below, keeping the outcome identical to all-full evaluation. *)
-        let delta_rows = ref [] in
-        let fallback =
-          List.filter
-            (fun p ->
-              if irrelevant t pl p then false
-              else
-                match delta_try t ~stats:sub.stats p with
-                | Some None -> false
-                | Some (Some r) ->
-                  delta_rows := !delta_rows @ r.Executor.out_rows;
-                  false
-                | None -> true)
-            ps
-        in
-        let union_rows =
-          match fallback with
-          | [] -> []
-          | f :: rest ->
-            let union_q =
-              List.fold_left
-                (fun acc p ->
-                  Ast.Union { all = false; left = acc; right = p.Policy.query })
-                f.Policy.query rest
-            in
-            (match eval_query t ~stats:sub.stats union_q with
-            | None -> []
-            | Some r -> r.Executor.out_rows)
-        in
-        (match union_rows @ !delta_rows with [] -> None | rows -> Some rows)
+      (* Delta-decided policies peel off the UNION: each one's verdict
+         comes from its delta plans alone, contributing its violation
+         rows (all-constant projections, so exactly the rows full
+         evaluation would add); the rest evaluate through the original
+         UNION chain. Both row sets feed the same message extraction
+         below, keeping the outcome identical to all-full evaluation. *)
+      let delta_rows = ref [] in
+      let fallback =
+        List.filter
+          (fun p ->
+            if irrelevant t pl p then false
+            else
+              match delta_try t sub p with
+              | Some None -> false
+              | Some (Some r) ->
+                delta_rows := !delta_rows @ r.Executor.out_rows;
+                false
+              | None -> true)
+          ps
+      in
+      let union_rows =
+        match fallback with
+        | [] -> []
+        | f :: rest ->
+          let union_q =
+            List.fold_left
+              (fun acc p ->
+                Ast.Union { all = false; left = acc; right = p.Policy.query })
+              f.Policy.query rest
+          in
+          (match eval_query t sub union_q with
+          | None -> []
+          | Some r -> r.Executor.out_rows)
+      in
+      (match union_rows @ !delta_rows with [] -> None | rows -> Some rows)
     in
     (match violated_rows with
     | None -> []
@@ -1294,21 +1154,16 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
 
 type mark = Mark_all | Mark_tids of (int, unit) Hashtbl.t
 
-(* Execute one witness query, returning the retained slot-0 tids. *)
-let witness_tids t (w : Ast.select) : int list =
+(* Execute one witness query, adding the retained slot-0 tids to [acc]. *)
+let run_witness t (w : Ast.select) (acc : (int, unit) Hashtbl.t) =
   let opts = { Executor.lineage = false; track_src = true } in
   let r = Prepared.run t.prepared ~opts (Ast.Select w) in
-  List.concat_map
+  List.iter
     (fun (row : Executor.row_out) ->
-      List.filter_map
-        (fun (slot, tid) -> if slot = 0 then Some tid else None)
+      List.iter
+        (fun (slot, tid) -> if slot = 0 then Hashtbl.replace acc tid ())
         row.Executor.src_tids)
     r.Executor.out_rows
-
-(* Execute one witness query, adding the retained slot-0 tids to [acc]. *)
-let run_witness t (sub : submission) (w : Ast.select) (acc : (int, unit) Hashtbl.t) =
-  List.iter (fun tid -> Hashtbl.replace acc tid ()) (witness_tids t w);
-  ignore sub
 
 (* §4.3 preemptive log compaction: before generating relation [rel] just
    for storage, test whether its witnesses could possibly retain any tuple
@@ -1358,8 +1213,7 @@ let preemptively_empty t (sub : submission) ~(now : int) (rel : string)
     (List.filter (fun p -> List.mem rel p.Policy.log_rels) policies)
 
 (* The commit path: compaction + persistence of the log increments. *)
-let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
-    ~(now : int) =
+let commit_logs t (sub : submission) (pl : plan) ~(now : int) =
   let stats = sub.stats in
   let is_log = is_log t in
   (* Per-relation rows actually retained this commit (the WAL record),
@@ -1421,67 +1275,19 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     Stats.timed
       (fun d -> stats.Stats.compact_mark <- stats.Stats.compact_mark +. d)
       (fun () ->
-        match pool with
-        | Some pool ->
-          (* Witness structure first (cheap, no queries): a [Keep_all]
-             promotes its relation to [Mark_all] — retaining everything,
-             so that relation's other witness queries are moot exactly
-             as on the serial path — then every witness query of the
-             still-collecting relations fans out as one batch, each task
-             folding into a private tid list merged after the join.
-             Merged per-relation sets are bit-identical to the serially
-             accumulated ones (sets of slot-0 tids; order-free). *)
-          let tasks = ref [] in
-          List.iter
-            (fun p ->
-              List.iter
-                (fun (rel, w) ->
-                  match Hashtbl.find_opt marks rel with
-                  | None | Some Mark_all -> ()
-                  | Some (Mark_tids _) -> (
-                    match w with
-                    | Witness.Keep_all -> Hashtbl.replace marks rel Mark_all
-                    | Witness.Queries qs ->
-                      List.iter (fun q -> tasks := (rel, q) :: !tasks) qs))
-                (Witness.for_policy ~is_log ~now p))
-            td_policies;
-          let tasks =
-            List.filter
-              (fun (rel, _) ->
+        List.iter
+          (fun p ->
+            List.iter
+              (fun (rel, w) ->
                 match Hashtbl.find_opt marks rel with
-                | Some (Mark_tids _) -> true
-                | Some Mark_all | None -> false)
-              (List.rev !tasks)
-          in
-          let tid_sets =
-            match tasks with
-            | [] -> []
-            | tasks ->
-              par_map t sub pool
-                (fun _stats (rel, q) -> (rel, witness_tids t q))
-                tasks
-          in
-          List.iter
-            (fun (rel, tids) ->
-              match Hashtbl.find_opt marks rel with
-              | Some (Mark_tids acc) ->
-                List.iter (fun tid -> Hashtbl.replace acc tid ()) tids
-              | Some Mark_all | None -> ())
-            tid_sets
-        | None ->
-          List.iter
-            (fun p ->
-              List.iter
-                (fun (rel, w) ->
-                  match Hashtbl.find_opt marks rel with
-                  | None -> () (* skipped or not stored *)
-                  | Some Mark_all -> ()
-                  | Some (Mark_tids acc) -> (
-                    match w with
-                    | Witness.Keep_all -> Hashtbl.replace marks rel Mark_all
-                    | Witness.Queries qs -> List.iter (fun q -> run_witness t sub q acc) qs))
-                (Witness.for_policy ~is_log ~now p))
-            td_policies);
+                | None -> () (* skipped or not stored *)
+                | Some Mark_all -> ()
+                | Some (Mark_tids acc) -> (
+                  match w with
+                  | Witness.Keep_all -> Hashtbl.replace marks rel Mark_all
+                  | Witness.Queries qs -> List.iter (fun q -> run_witness t q acc) qs))
+              (Witness.for_policy ~is_log ~now p))
+          td_policies);
     (* Delete + insert phases per relation. *)
     List.iter
       (fun rel ->
@@ -1588,17 +1394,16 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
   (* Any failure during checking (e.g. the user query itself is invalid
      and breaks the provenance function) must revert the tentative log,
      or the leaked savepoints would poison later submissions. *)
-  let pool = pool_of t in
   match
     let violations =
       match t.config.strategy with
-      | Union_all -> run_union t sub pool pl pl.active
-      | Serial -> run_serial t sub pool pl pl.active
+      | Union_all -> run_union t sub pl pl.active
+      | Serial -> run_serial t sub pl pl.active
       | Interleaved ->
         (* Algorithm 3 on the interleavable policies, then the rest in
            full, as in the §4.4 online phase. *)
-        let v1 = run_interleaved t sub pool pl in
-        let v2 = run_serial t sub pool pl pl.rest in
+        let v1 = run_interleaved t sub pl in
+        let v2 = run_serial t sub pl pl.rest in
         v1 @ v2
     in
     t.last_violations <- List.map fst violations;
@@ -1608,7 +1413,7 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
       Rejected (List.map snd violations, sub.stats)
     end
     else begin
-      commit_logs t sub pool pl ~now;
+      commit_logs t sub pl ~now;
       if t.config.delta || t.config.relevance then establish_bases t pl;
       let result =
         Stats.timed
@@ -1701,9 +1506,7 @@ let batch_eligible t (pl : plan) subs =
    Fast path (all policies monotone SPJ per {!batch_eligible}): every
    member's log increments are appended tentatively — each member at its
    own clock tick, in arrival order — and the policy set is evaluated
-   {e once} over the combined tentative state, fanning out over the
-   domain pool against frozen tables exactly as a single submission's
-   evaluation does. If every policy comes back empty, monotonicity gives
+   {e once} over the combined tentative state. If every policy comes back empty, monotonicity gives
    the serial-equivalence argument: each arrival-order prefix of the
    batch is a subset of the combined state, so every policy is empty
    over it too, which is precisely what accepting the members one at a
@@ -1767,7 +1570,6 @@ let submit_batch t (subs : batch_submission list) :
       let rels =
         List.sort_uniq String.compare (pl.required @ pl.store_rels)
       in
-      let pool = pool_of t in
       match
         Usage_log.set_clock t.db now;
         List.iteri
@@ -1783,7 +1585,7 @@ let submit_batch t (subs : batch_submission list) :
             in
             List.iter (gen_rel_for t sub ctx) rels)
           subs;
-        eval_full t sub pool pl pl.active
+        eval_full t sub pl pl.active
       with
       | [] ->
         t.adm_fast <- t.adm_fast + 1;
@@ -1791,7 +1593,7 @@ let submit_batch t (subs : batch_submission list) :
         (* A commit failure must resolve the savepoints before escaping,
            exactly as [submit_ast]'s handler does, or they would poison
            later submissions. *)
-        (try commit_logs t sub pool pl ~now
+        (try commit_logs t sub pl ~now
          with e ->
            rollback_all ();
            raise e);
@@ -1830,15 +1632,8 @@ let persist_checkpoint t =
   | Some store -> checkpoint_to t store ~scope:(plan t).store_rels
 
 let close t =
-  (match t.persist with
+  match t.persist with
   | None -> ()
   | Some store ->
     Persistence.Store.close store;
-    t.persist <- None);
-  (* Join the shared evaluation domains so a long-running process (the
-     policy server, the REPL) exits cleanly instead of leaking domains.
-     Pools are process-wide: other engines (and this one, which stays
-     usable) transparently refetch a fresh pool from the registry on
-     their next parallel batch. *)
-  t.pool <- None;
-  Parallel.Pool.shutdown_shared ()
+    t.persist <- None

@@ -22,13 +22,6 @@ type config = {
   preemptive : bool;  (** §4.3 preemptive log compaction *)
   improved_partial : bool;  (** §4.3 improved partial policies *)
   strategy : strategy;
-  domains : int;
-      (** evaluating domains for the per-submission policy, partial-policy
-          and witness-query batches. [1] (the floor) is the strictly
-          serial pre-existing code path — no pool is spawned; [n > 1]
-          drives the batches through a shared pool of [n - 1] worker
-          domains with the submitting domain helping. Defaults to
-          {!default_domains}. *)
   delta : bool;
       (** incremental (delta-driven) policy evaluation: after each
           accepted submission the engine records that every delta-eligible
@@ -50,14 +43,6 @@ type config = {
           either way; with thousands of template-instantiated policies,
           the per-submission work shrinks to the handful of policies the
           touched schema elements select. *)
-  shared_scans : bool;
-      (** multi-query shared subplans: policy plans rewrite their
-          base-table scan-plus-filter prefixes into shared
-          materialization points ({!Relational.Plan.Shared}) served by a
-          per-engine cache, so the policies of one admission scan each
-          log table once instead of once per policy. Entries
-          self-validate against table versions; results are identical
-          either way. *)
   vectorized : bool;
       (** the vectorized (batch-at-a-time) executor: batch-eligible
           policy, partial-policy and witness plans compile through
@@ -70,9 +55,8 @@ type config = {
           {!default_vector}. *)
 }
 
-(** The default for {!config}[.domains]: [DL_DOMAINS] from the
-    environment when set (and a valid positive integer), otherwise
-    [Domain.recommended_domain_count () - 1], floored at 1. *)
+(** Always [1]: evaluation is serial. Remains only because the
+    perfbench harness records it; nothing else may use it. *)
 val default_domains : int
 
 (** The default for {!config}[.delta]: on, unless the environment sets
@@ -168,9 +152,9 @@ val plan_cache_stats : t -> int * int
     submission (benchmarking hook; statistics survive). *)
 val clear_plan_cache : t -> unit
 
-(** (configured domains, parallel batches dispatched, tasks executed
-    across them). Batches and tasks stay 0 on the serial path
-    ([domains = 1]). *)
+(** Always [(1, 0, 0)]: one domain, no parallel batches, no tasks.
+    Remains only because the perfbench harness reads it; nothing else
+    may use it. *)
 val parallel_stats : t -> int * int * int
 
 (** Incremental-evaluation counters, under the current configuration. *)
@@ -210,9 +194,8 @@ type relevance_stats = {
     check/skip counters. Forces the offline plan if stale. *)
 val relevance_stats : t -> relevance_stats
 
-(** (hits, misses) of the shared-scan materialization cache: a hit is a
-    policy plan reusing rows another plan of the same admission already
-    materialized for the same scan-plus-filter prefix. *)
+(** Always [(0, 0)]: scans are never shared between plans. Remains only
+    because the perfbench harness reads it; nothing else may use it. *)
 val shared_scan_stats : t -> int * int
 
 type vector_stats = {
@@ -305,9 +288,6 @@ val persist_store : t -> Persistence.Store.t option
     persistence. *)
 val persist_checkpoint : t -> unit
 
-(** Flush and close the persistence store, if any, and shut down the
-    process-wide shared evaluation pools ({!Parallel.Pool.shutdown_shared})
-    so no worker domain outlives the engine. The engine remains usable
-    in memory afterwards — its next parallel batch simply fetches a
-    fresh pool. *)
+(** Flush and close the persistence store, if any. The engine remains
+    usable in memory afterwards. *)
 val close : t -> unit

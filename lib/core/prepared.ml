@@ -5,26 +5,11 @@
     them each time dominated the per-submission overhead. This cache keys
     compiled plans by (query AST, execution options) and revalidates
     against {!Relational.Catalog.generation} — the single invalidation
-    counter shared with PR 1's persistence-scope recompute: DDL bumps it
+    counter shared with the persistence-scope recompute: DDL bumps it
     structurally, and the engine bumps it explicitly ({!Catalog.touch})
     whenever it invalidates its evaluation plan (config changes, policy
     registration), so a stale compiled plan can never outlive the state
     it was compiled against.
-
-    Domain safety: the cache is sharded per domain. Each domain that
-    ever prepares a query through this cache gets a private shard (keyed
-    by its domain id), so a compiled plan — a closure whose execution is
-    re-entrant but whose ownership story we keep trivially safe — is
-    only ever fetched and executed by the domain that compiled it. The
-    engine's parallel batches therefore compile each hot query once per
-    participating domain (bounded, small) instead of taking a lock on
-    every policy evaluation. Only the shard-lookup table itself is
-    mutex-protected; all per-shard state is single-domain.
-
-    The engine only bumps the catalog generation while no parallel batch
-    is in flight (tables are frozen for the span of a batch), so a
-    worker revalidating its shard mid-batch always sees a stable
-    generation.
 
     Compilation failures are never cached: a query that fails to bind
     raises on every call, exactly as the uncached executor did. *)
@@ -35,11 +20,11 @@ type key = {
   q : Ast.query;
   lineage : bool;
   track_src : bool;
-  share : bool;
   vectorized : bool;
 }
 
-type shard = {
+type t = {
+  cat : Catalog.t;
   cache : (key, Executor.compiled) Hashtbl.t;
   delta : (Ast.query * bool, Executor.delta_compiled option) Hashtbl.t;
       (** delta-plan derivations keyed by (query, vectorized), [None]
@@ -47,23 +32,6 @@ type shard = {
   mutable gen : int;
   mutable hits : int;
   mutable misses : int;
-}
-
-type t = {
-  cat : Catalog.t;
-  lock : Mutex.t;  (** guards [shards]; per-shard state is domain-private *)
-  shards : (int, shard) Hashtbl.t;  (** domain id -> private shard *)
-  shared : Compile.arow list Shared_cache.t;
-      (** cross-domain materialization cache behind {!Plan.Shared} slots:
-          compiled plans stay domain-private, but the immutable row lists
-          their shared scan prefixes produce are served from here, so one
-          domain's materialization feeds every policy of the admission.
-          Self-validating against (generation, table version) — no [sync]
-          discipline needed *)
-  shared_batch : Compile_batch.batch Shared_cache.t;
-      (** batch-typed twin of [shared] for vectorized plans: the batch
-          pipeline shares column batches, never transposed row lists, so
-          a scale-out admission pays no per-policy conversion *)
   mutable vectorized : bool;
       (** default route for [prepare]/[prepare_delta]; set once from
           engine config before any evaluation traffic *)
@@ -77,122 +45,68 @@ let capacity = 1024
 let create (cat : Catalog.t) : t =
   {
     cat;
-    lock = Mutex.create ();
-    shards = Hashtbl.create 4;
-    shared = Shared_cache.create ();
-    shared_batch = Shared_cache.create ();
+    cache = Hashtbl.create 64;
+    delta = Hashtbl.create 16;
+    gen = Catalog.generation cat;
+    hits = 0;
+    misses = 0;
     vectorized = false;
   }
 
 let set_vectorized t v = t.vectorized <- v
 
-let shard_for t : shard =
-  let id = (Domain.self () :> int) in
-  Mutex.lock t.lock;
-  let s =
-    match Hashtbl.find_opt t.shards id with
-    | Some s -> s
-    | None ->
-      let s =
-        {
-          cache = Hashtbl.create 64;
-          delta = Hashtbl.create 16;
-          gen = Catalog.generation t.cat;
-          hits = 0;
-          misses = 0;
-        }
-      in
-      Hashtbl.add t.shards id s;
-      s
-  in
-  Mutex.unlock t.lock;
-  s
-
-let sync t (s : shard) =
+let sync t =
   let g = Catalog.generation t.cat in
-  if g <> s.gen then begin
-    Hashtbl.reset s.cache;
-    Hashtbl.reset s.delta;
-    s.gen <- g
+  if g <> t.gen then begin
+    Hashtbl.reset t.cache;
+    Hashtbl.reset t.delta;
+    t.gen <- g
   end
 
-let prepare t ?(opts = Executor.default_opts) ?(share = false)
-    (q : Ast.query) : Executor.compiled =
-  let s = shard_for t in
-  sync t s;
-  (* Provenance annotations are slot-specific; such plans never share,
-     so don't fragment the cache key space over the flag. *)
-  let share = share && (not opts.Executor.lineage) && not opts.Executor.track_src in
+let prepare t ?(opts = Executor.default_opts) (q : Ast.query) :
+    Executor.compiled =
+  sync t;
   let vectorized = t.vectorized in
   let k =
     {
       q;
       lineage = opts.Executor.lineage;
       track_src = opts.Executor.track_src;
-      share;
       vectorized;
     }
   in
-  match Hashtbl.find_opt s.cache k with
+  match Hashtbl.find_opt t.cache k with
   | Some c ->
-    s.hits <- s.hits + 1;
+    t.hits <- t.hits + 1;
     c
   | None ->
-    let shared = if share then Some t.shared else None in
-    let shared_batch = if share then Some t.shared_batch else None in
-    let c = Executor.prepare ~opts ~vectorized ?shared ?shared_batch t.cat q in
-    if Hashtbl.length s.cache >= capacity then Hashtbl.reset s.cache;
-    Hashtbl.replace s.cache k c;
-    s.misses <- s.misses + 1;
+    let c = Executor.prepare ~opts ~vectorized t.cat q in
+    if Hashtbl.length t.cache >= capacity then Hashtbl.reset t.cache;
+    Hashtbl.replace t.cache k c;
+    t.misses <- t.misses + 1;
     c
 
-(* Delta derivations share the shard discipline: derived once per
-   (domain, generation), ineligibility cached as [None] so the
-   eligibility analysis also runs at most once per query. *)
+(* Delta derivations are cached per generation too, ineligibility as
+   [None], so the eligibility analysis runs at most once per query. *)
 let prepare_delta t ~is_log ~clock_rel (q : Ast.query) :
     Executor.delta_compiled option =
-  let s = shard_for t in
-  sync t s;
+  sync t;
   let vectorized = t.vectorized in
   let dk = (q, vectorized) in
-  match Hashtbl.find_opt s.delta dk with
+  match Hashtbl.find_opt t.delta dk with
   | Some d -> d
   | None ->
     let d = Executor.prepare_delta ~vectorized t.cat ~is_log ~clock_rel q in
-    if Hashtbl.length s.delta >= capacity then Hashtbl.reset s.delta;
-    Hashtbl.replace s.delta dk d;
+    if Hashtbl.length t.delta >= capacity then Hashtbl.reset t.delta;
+    Hashtbl.replace t.delta dk d;
     d
 
-let run t ?opts ?share q = Executor.run_compiled (prepare t ?opts ?share q)
+let run t ?opts q = Executor.run_compiled (prepare t ?opts q)
 
-let is_empty t ?opts ?share q = (run t ?opts ?share q).Executor.out_rows = []
+let is_empty t ?opts q = (run t ?opts q).Executor.out_rows = []
 
-(* Aggregated over all shards. Called from the coordinating domain
-   between batches; the lock only orders shard creation against us. *)
-let stats t =
-  Mutex.lock t.lock;
-  let hits, misses =
-    Hashtbl.fold
-      (fun _ s (h, m) -> (h + s.hits, m + s.misses))
-      t.shards (0, 0)
-  in
-  Mutex.unlock t.lock;
-  (hits, misses)
-
-(* Row and batch caches are one materialization facility with two value
-   types; report them as one. *)
-let shared_stats t =
-  let h, m = Shared_cache.stats t.shared in
-  let hb, mb = Shared_cache.stats t.shared_batch in
-  (h + hb, m + mb)
+let stats t = (t.hits, t.misses)
 
 let clear t =
-  Mutex.lock t.lock;
-  Hashtbl.iter
-    (fun _ s ->
-      Hashtbl.reset s.cache;
-      Hashtbl.reset s.delta)
-    t.shards;
-  Mutex.unlock t.lock;
-  Shared_cache.clear t.shared;
-  Shared_cache.clear t.shared_batch
+  Hashtbl.reset t.cache;
+  Hashtbl.reset t.delta

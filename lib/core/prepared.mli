@@ -2,13 +2,7 @@
     revalidated against {!Relational.Catalog.generation}. One counter
     covers every invalidation source — DDL bumps it structurally, the
     engine bumps it on config/policy changes — so cached plans can never
-    go stale.
-
-    Sharded per domain: each domain that prepares through the cache owns
-    a private shard, so compiled closures are never shared (mutably or
-    otherwise) across the engine's pool domains, and the policy hot path
-    takes no lock. {!stats} and {!clear} aggregate/reset across
-    shards. *)
+    go stale. *)
 
 open Relational
 
@@ -23,19 +17,13 @@ val create : Catalog.t -> t
     be set once, from engine config, before evaluation traffic. *)
 val set_vectorized : t -> bool -> unit
 
-(** Fetch or compile the plan for [q] under [opts]. With [share], the
-    plan's base-table scan prefixes materialize through a single
-    cross-domain {!Relational.Shared_cache}, so identical prefixes
-    across the policies of one admission scan the table once (ignored
-    under lineage or source-tid options — those annotations are
-    slot-specific).
+(** Fetch or compile the plan for [q] under [opts].
     @raise Errors.Sql_error on binding failures (never cached). *)
-val prepare :
-  t -> ?opts:Executor.opts -> ?share:bool -> Ast.query -> Executor.compiled
+val prepare : t -> ?opts:Executor.opts -> Ast.query -> Executor.compiled
 
 (** Fetch or derive+compile the delta variants of [q] (see
     {!Executor.prepare_delta}); ineligibility ([None]) is cached too, so
-    the analysis runs once per (domain, generation). *)
+    the analysis runs once per generation. *)
 val prepare_delta :
   t ->
   is_log:(string -> bool) ->
@@ -44,18 +32,12 @@ val prepare_delta :
   Executor.delta_compiled option
 
 (** [prepare] + execute. *)
-val run :
-  t -> ?opts:Executor.opts -> ?share:bool -> Ast.query -> Executor.result
+val run : t -> ?opts:Executor.opts -> Ast.query -> Executor.result
 
-val is_empty : t -> ?opts:Executor.opts -> ?share:bool -> Ast.query -> bool
+val is_empty : t -> ?opts:Executor.opts -> Ast.query -> bool
 
 (** (hits, misses) since creation. *)
 val stats : t -> int * int
-
-(** (hits, misses) of the shared-scan materialization cache: a hit is a
-    policy plan reusing rows another plan already materialized for the
-    same scan-plus-filter prefix at the same table version. *)
-val shared_stats : t -> int * int
 
 (** Drop every cached plan (the statistics survive). *)
 val clear : t -> unit

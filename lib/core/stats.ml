@@ -47,22 +47,6 @@ let add a b =
     rows_logged = a.rows_logged + b.rows_logged;
   }
 
-(* Fold [src] into [dst] in place: the engine's parallel batches give
-   each task a private record (no cross-domain mutation) and the
-   submitting domain merges them into the submission's record after the
-   join. *)
-let merge_into (dst : t) (src : t) =
-  let s = add dst src in
-  dst.log_track <- s.log_track;
-  dst.policy_eval <- s.policy_eval;
-  dst.compact_mark <- s.compact_mark;
-  dst.compact_delete <- s.compact_delete;
-  dst.compact_insert <- s.compact_insert;
-  dst.query_exec <- s.query_exec;
-  dst.persist <- s.persist;
-  dst.policy_calls <- s.policy_calls;
-  dst.rows_logged <- s.rows_logged
-
 let zero = create ()
 
 let sum = List.fold_left add zero

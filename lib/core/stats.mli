@@ -27,10 +27,6 @@ val overhead : t -> float
 val total : t -> float
 val add : t -> t -> t
 
-(** [merge_into dst src] folds [src] into [dst] in place ({!add}
-    semantics). Parallel evaluation batches accumulate into per-task
-    records and merge them after the join. *)
-val merge_into : t -> t -> unit
 val sum : t list -> t
 val scale : float -> t -> t
 val mean : t list -> t

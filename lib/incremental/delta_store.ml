@@ -57,9 +57,9 @@ type agg_state = { groups : (string, group) Hashtbl.t }
 type t = {
   bases : (string, base) Hashtbl.t;
   agg : (string * int, agg_state) Hashtbl.t;  (** keyed (policy, branch) *)
-  delta_evals : int Atomic.t;
-  full_evals : int Atomic.t;
-  agg_rebuilds : int Atomic.t;
+  mutable delta_evals : int;
+  mutable full_evals : int;
+  mutable agg_rebuilds : int;
 }
 
 type stats = {
@@ -74,17 +74,17 @@ let create () : t =
   {
     bases = Hashtbl.create 16;
     agg = Hashtbl.create 16;
-    delta_evals = Atomic.make 0;
-    full_evals = Atomic.make 0;
-    agg_rebuilds = Atomic.make 0;
+    delta_evals = 0;
+    full_evals = 0;
+    agg_rebuilds = 0;
   }
 
 let reset (t : t) =
   Hashtbl.reset t.bases;
   Hashtbl.reset t.agg;
-  Atomic.set t.delta_evals 0;
-  Atomic.set t.full_evals 0;
-  Atomic.set t.agg_rebuilds 0
+  t.delta_evals <- 0;
+  t.full_evals <- 0;
+  t.agg_rebuilds <- 0
 
 let snapshot (cat : Relational.Catalog.t)
     (deps : (string * Relational.Optimizer.dep_kind) list) :
@@ -241,18 +241,18 @@ let agg_scratch (s : agg_state) ~(specs : (Ast.agg * bool) array)
       (g.key, Array.mapi (fun j a -> finish_acc specs.(j) a) g.accs) :: out)
     touched []
 
-let note_agg_rebuild (t : t) = Atomic.incr t.agg_rebuilds
+let note_agg_rebuild (t : t) = t.agg_rebuilds <- t.agg_rebuilds + 1
 
-let note_delta_eval (t : t) = Atomic.incr t.delta_evals
+let note_delta_eval (t : t) = t.delta_evals <- t.delta_evals + 1
 
-let note_full_eval (t : t) = Atomic.incr t.full_evals
+let note_full_eval (t : t) = t.full_evals <- t.full_evals + 1
 
 let stats (t : t) : stats =
   {
     bases = Hashtbl.length t.bases;
-    delta_evals = Atomic.get t.delta_evals;
-    full_evals = Atomic.get t.full_evals;
+    delta_evals = t.delta_evals;
+    full_evals = t.full_evals;
     agg_groups =
       Hashtbl.fold (fun _ s acc -> acc + Hashtbl.length s.groups) t.agg 0;
-    agg_rebuilds = Atomic.get t.agg_rebuilds;
+    agg_rebuilds = t.agg_rebuilds;
   }

@@ -46,9 +46,7 @@ val snapshot :
 val establish : t -> string -> gen:int -> vers:(string * int) list -> unit
 
 (** Is the named policy's base still valid — same generation, same
-    counter snapshot? Read-only; safe to call from worker domains while
-    no writer runs (the engine only establishes bases between
-    submissions). *)
+    counter snapshot? Read-only. *)
 val valid : t -> string -> gen:int -> vers:(string * int) list -> bool
 
 (** {1 Carried aggregate state} *)
@@ -91,8 +89,7 @@ val agg_scratch :
 (** Count one full-stream rebuild of carried aggregate state. *)
 val note_agg_rebuild : t -> unit
 
-(** Count one policy evaluation served by delta plans. Atomic: worker
-    domains bump it during parallel batches. *)
+(** Count one policy evaluation served by delta plans. *)
 val note_delta_eval : t -> unit
 
 (** Count one policy evaluation that fell back to a full re-run. *)

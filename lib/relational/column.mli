@@ -66,9 +66,8 @@ val dict_string : dict -> int -> string
 (** {1 Zero-copy views}
 
     Backing arrays, valid in [0, length t). Read-only; do not hold
-    across a mutation (the engine freezes tables for the span of an
-    evaluation, and the shared caches revalidate on {!Table.ver_mut}, so
-    compiled plans respect both by construction). The constructors are
+    across a mutation (compiled plans take their views per execution,
+    so they respect this by construction). The constructors are
     public so the batch compiler can build gathered / transposed batches
     in the same shape. *)
 

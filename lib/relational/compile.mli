@@ -16,11 +16,11 @@ type arow = { vals : Value.t array; lin : Lineage.t; src : (int * int) list }
 
 (** Rows examined by join steps since the counter was last reset; a
     statistics hook for tests and benchmarks. *)
-val rows_examined : int Atomic.t
+val rows_examined : int ref
 
 (** Index probes executed (one per [Index_eq]/[Index_range] scan
     execution); a statistics hook for tests and benchmarks. *)
-val index_probes : int Atomic.t
+val index_probes : int ref
 
 (** A compiled scalar closure over (row values, computed aggregates). *)
 type cexpr = Value.t array -> Value.t array -> Value.t
@@ -57,14 +57,6 @@ val union_rows : all:bool -> arow list -> arow list -> arow list
     this with the same counts as the row join). *)
 val note_rows : int -> unit
 
-(** Compile a bound plan against the catalog. When [shared] is given,
-    {!Plan.Shared} slots materialize through it — the first plan of an
-    admission to execute a given scan-plus-filter prefix fills the cache
-    and every other plan reuses the rows — but only under the default
-    provenance options (lineage and source-tid annotations are
-    slot-specific and never shared). Without [shared], or with
-    provenance on, [Plan.Shared] compiles to a plain scan plus filter
-    passes, indistinguishable from [Plan.Scan].
+(** Compile a bound plan against the catalog.
     @raise Errors.Sql_error if a scanned table has been dropped. *)
-val compile :
-  Catalog.t -> ?shared:arow list Shared_cache.t -> opts -> Plan.query -> t
+val compile : Catalog.t -> opts -> Plan.query -> t

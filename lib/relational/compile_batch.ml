@@ -37,32 +37,32 @@
     {!Compile.compile} wholesale. *)
 
 (* Per-batch statistics, exposed through engine stats / :stats / server
-   STATS. Atomic: compiled plans execute concurrently on the engine's
-   domain pool. *)
-let batches_built = Atomic.make 0
-let batch_rows = Atomic.make 0
-let row_fallbacks = Atomic.make 0
+   STATS. *)
+let batches_built = ref 0
+let batch_rows = ref 0
+let row_fallbacks = ref 0
 
 (* Rows-per-batch histogram: < 16, < 256, < 4096, < 65536, >= 65536. *)
 let hist_bounds = [| 16; 256; 4096; 65536 |]
-let hist = Array.init (Array.length hist_bounds + 1) (fun _ -> Atomic.make 0)
+let hist = Array.make (Array.length hist_bounds + 1) 0
 
 let note_batch n =
-  Atomic.incr batches_built;
-  ignore (Atomic.fetch_and_add batch_rows n);
+  incr batches_built;
+  batch_rows := !batch_rows + n;
   let rec bucket i =
     if i >= Array.length hist_bounds || n < hist_bounds.(i) then i
     else bucket (i + 1)
   in
-  Atomic.incr hist.(bucket 0)
+  let b = bucket 0 in
+  hist.(b) <- hist.(b) + 1
 
-let hist_snapshot () = Array.map Atomic.get hist
+let hist_snapshot () = Array.copy hist
 
 let reset_stats () =
-  Atomic.set batches_built 0;
-  Atomic.set batch_rows 0;
-  Atomic.set row_fallbacks 0;
-  Array.iter (fun c -> Atomic.set c 0) hist
+  batches_built := 0;
+  batch_rows := 0;
+  row_fallbacks := 0;
+  Array.fill hist 0 (Array.length hist) 0
 
 (* Batches ---------------------------------------------------------------- *)
 
@@ -140,8 +140,8 @@ let rec add_fields acc (p : Plan.pexpr) =
    refilled with just the fields the expression reads — semantics
    (dispatch, laziness, error messages) are therefore shared code, at
    the cost of a few array stores per row. The scratch row is allocated
-   at column-binding time, i.e. per execution, because compiled plans
-   run concurrently across domains. *)
+   at column-binding time, i.e. per execution, so a compiled plan stays
+   re-entrant. *)
 let rec compile_bexpr (p : Plan.pexpr) : bexpr =
   match p with
   | Plan.Field i -> fun cols -> getter cols.(i)
@@ -622,7 +622,7 @@ let batch_access (table : Table.t) (tname : string) ~track ~slot
     in
     let ckey = Compile.compile_expr key in
     fun () ->
-      Atomic.incr Compile.index_probes;
+      incr Compile.index_probes;
       let v = ckey [||] [||] in
       (* [col = NULL] matches nothing. *)
       (match Table.columnar table with
@@ -646,7 +646,7 @@ let batch_access (table : Table.t) (tname : string) ~track ~slot
     let cbound = Option.map (fun (p, incl) -> (Compile.compile_expr p, incl)) in
     let clo = cbound lo and chi = cbound hi in
     fun () ->
-      Atomic.incr Compile.index_probes;
+      incr Compile.index_probes;
       let eval = Option.map (fun (c, incl) -> (c [||] [||], incl)) in
       let lo = eval clo and hi = eval chi in
       (* A NULL bound makes the comparison false for every row. *)
@@ -1188,17 +1188,14 @@ let produce_batch (f : Plan.finish) : batch -> (Compile.arow * Value.t array) li
 
 (* Pipeline --------------------------------------------------------------- *)
 
-let rec compile_route (cat : Catalog.t)
-    (shared : Compile.arow list Shared_cache.t option)
-    (shared_batch : batch Shared_cache.t option) (opts : Compile.opts)
+let rec compile_route (cat : Catalog.t) (opts : Compile.opts)
     (route : Plan.route) (q : Plan.query) : Compile.t =
   match route, q with
-  | Plan.Route_batch, Plan.Select sp ->
-    compile_select_batch cat shared shared_batch opts sp
+  | Plan.Route_batch, Plan.Select sp -> compile_select_batch cat opts sp
   | Plan.Route_union { left = rl; right = rr }, Plan.Union { all; left; right }
     ->
-    let l = compile_route cat shared shared_batch opts rl left in
-    let r = compile_route cat shared shared_batch opts rr right in
+    let l = compile_route cat opts rl left in
+    let r = compile_route cat opts rr right in
     {
       Compile.cols = l.Compile.cols;
       exec = (fun () -> Compile.union_rows ~all (l.Compile.exec ()) (r.Compile.exec ()));
@@ -1206,12 +1203,10 @@ let rec compile_route (cat : Catalog.t)
   | (Plan.Route_row | Plan.Route_batch | Plan.Route_union _), _ ->
     (* Routed to rows (or a route/shape mismatch, impossible when the
        route came from [Optimizer.batch_route] on this query). *)
-    Atomic.incr row_fallbacks;
-    Compile.compile cat ?shared opts q
+    incr row_fallbacks;
+    Compile.compile cat opts q
 
-and compile_select_batch (cat : Catalog.t)
-    (shared : Compile.arow list Shared_cache.t option)
-    (shared_batch : batch Shared_cache.t option) (opts : Compile.opts)
+and compile_select_batch (cat : Catalog.t) (opts : Compile.opts)
     (sp : Plan.select_plan) : Compile.t =
   let track = opts.Compile.track_src in
   let nslots = Array.length sp.Plan.slots in
@@ -1223,32 +1218,12 @@ and compile_select_batch (cat : Catalog.t)
           | Plan.Scan (name, access) ->
             let table = Catalog.find cat name in
             batch_access table (Table.name table) ~track ~slot:idx access
-          | Plan.Shared { tag; table = name; access; preds } -> (
-            let table = Catalog.find cat name in
-            let raw =
-              batch_access table (Table.name table) ~track ~slot:idx access
-            in
-            let cpreds = List.map compile_bpred preds in
-            let materialize () = filter_conjuncts (raw ()) cpreds in
-            match shared_batch with
-            | Some cache when not track ->
-              (* Lineage is off on this route; source-tid columns are
-                 slot-index-specific, so only untracked batches are
-                 shared. Generation / table version are read per
-                 execution, as for the row cache. *)
-              fun () ->
-                Shared_cache.find_or_compute cache
-                  ~gen:(Catalog.generation cat)
-                  ~ver:(Table.ver_mut table) ~tag materialize
-            | _ -> materialize)
           | Plan.Sub q ->
             (* Subqueries compile on the row path (they may be routed
                there themselves) and adapt at the slot boundary; source
                tids do not flow out of subqueries, as in the row path. *)
             let c =
-              Compile.compile cat ?shared
-                { opts with Compile.track_src = false }
-                q
+              Compile.compile cat { opts with Compile.track_src = false } q
             in
             let width = Array.length c.Compile.cols in
             fun () ->
@@ -1339,10 +1314,10 @@ and compile_select_batch (cat : Catalog.t)
 
 (* Entry point: route per subtree, lower batch subtrees, fall back to the
    row compiler elsewhere. *)
-let compile (cat : Catalog.t) ?shared ?shared_batch (opts : Compile.opts)
-    (q : Plan.query) : Compile.t =
+let compile (cat : Catalog.t) (opts : Compile.opts) (q : Plan.query) :
+    Compile.t =
   let route =
     Optimizer.batch_route ~lineage:opts.Compile.lineage
       ~track_src:opts.Compile.track_src q
   in
-  compile_route cat shared shared_batch opts route q
+  compile_route cat opts route q

@@ -10,39 +10,24 @@
     expressions in batch clauses) fall back to the row compiler
     wholesale. *)
 
-(** A column batch: backing column arrays plus a selection vector.
-    Exposed abstractly so callers can hold a batch-typed
-    {!Shared_cache} for shared-scan prefixes. *)
-type batch
-
-(** Compile a bound plan against the catalog. [shared] serves row-path
-    fallback subtrees exactly as in {!Compile.compile}; [shared_batch]
-    is the batch-typed equivalent for {!Plan.Shared} slots on the batch
-    path (same tags, independent store — a mixed workload may fill
-    both).
+(** Compile a bound plan against the catalog.
     @raise Errors.Sql_error if a scanned table has been dropped. *)
-val compile :
-  Catalog.t ->
-  ?shared:Compile.arow list Shared_cache.t ->
-  ?shared_batch:batch Shared_cache.t ->
-  Compile.opts ->
-  Plan.query ->
-  Compile.t
+val compile : Catalog.t -> Compile.opts -> Plan.query -> Compile.t
 
 (** {1 Batch statistics}
 
     Cumulative counters for engine stats, [:stats] and the server's
-    [STATS] verb. Atomic; reset with {!reset_stats}. *)
+    [STATS] verb; reset with {!reset_stats}. *)
 
 (** Batches materialized at runtime (scans and join outputs). *)
-val batches_built : int Atomic.t
+val batches_built : int ref
 
 (** Total rows across those batches (live selection sizes). *)
-val batch_rows : int Atomic.t
+val batch_rows : int ref
 
 (** Subtree compilations that fell back to the row path while the
     vectorized executor was requested. *)
-val row_fallbacks : int Atomic.t
+val row_fallbacks : int ref
 
 (** Rows-per-batch histogram buckets: [< 16], [< 256], [< 4096],
     [< 65536], [>= 65536]. *)

@@ -30,24 +30,12 @@ type result = { columns : string list; out_rows : row_out list }
     catalog's shape changes (see {!Catalog.generation}). *)
 type compiled = Compile.t
 
-(** Bind, optimize and compile a query. With [shared], base-table scans
-    (plus their pushed-down filters) become {!Plan.Shared}
-    materialization points served through the given cache, so identical
-    scan prefixes across the prepared plans of different queries
-    materialize once per table version (see {!Optimizer.share_scans};
-    provenance-annotated runs bypass the cache). With
-    [vectorized:true], batch-eligible subtrees compile through
-    {!Compile_batch} (bit-identical results; [shared_batch] then serves
-    shared scans on the batch path).
+(** Bind, optimize and compile a query. With [vectorized:true],
+    batch-eligible subtrees compile through {!Compile_batch}
+    (bit-identical results).
     @raise Errors.Sql_error on binding failures. *)
 val prepare :
-  ?opts:opts ->
-  ?vectorized:bool ->
-  ?shared:Compile.arow list Shared_cache.t ->
-  ?shared_batch:Compile_batch.batch Shared_cache.t ->
-  Catalog.t ->
-  Ast.query ->
-  compiled
+  ?opts:opts -> ?vectorized:bool -> Catalog.t -> Ast.query -> compiled
 
 (** Like {!prepare} but skipping the optimizer: the naive reference path
     used by differential tests. *)
@@ -119,7 +107,7 @@ val is_empty : ?opts:opts -> Catalog.t -> Ast.query -> bool
 
 (** Cumulative count of rows examined by join operators, for tests and
     benchmarks. *)
-val rows_examined : int Atomic.t
+val rows_examined : int ref
 
 (** Cumulative count of index probes executed by compiled access paths. *)
-val index_probes : int Atomic.t
+val index_probes : int ref

@@ -29,8 +29,7 @@ type pexpr =
           substitutes the clock relation's single cell with one of these,
           so a compiled residual plan stays valid as the clock advances.
           The closure must never raise and reads no row fields. Plans
-          carrying [Exec] are never marshalled (no
-          {!Optimizer.share_scans}) and never constant-folded. *)
+          carrying [Exec] are never constant-folded. *)
   | Binop of Ast.binop * pexpr * pexpr
   | Unop of Ast.unop * pexpr
   | Fn of string * pexpr list
@@ -61,16 +60,6 @@ type access =
 type source =
   | Scan of string * access  (** base table, by catalog name *)
   | Sub of query
-  | Shared of {
-      tag : string;  (** digest of (table, access, preds) *)
-      table : string;
-      access : access;
-      preds : pexpr list;  (** slot-local conjuncts absorbed from [scan_preds] *)
-    }
-      (** compile-time materialization point for a scan-plus-filter prefix
-          shared by several plans ({!Optimizer.share_scans}); compiled
-          without a cache it behaves exactly like [Scan] with the preds as
-          scan predicates *)
 
 and slot = {
   alias : string;  (** lowercased effective alias *)

@@ -23,7 +23,6 @@ type t = {
   rows : Row.t Vec.t;
   mutable next_tid : int;
   mutable in_txn : bool;
-  mutable frozen : bool;
   mutable indexes : Index.t list;
   mutable delta_base : int;
       (* tid watermark for incremental policy evaluation: rows with
@@ -62,7 +61,6 @@ let create ~name ~schema =
     rows = Vec.create ~dummy:dummy_row ();
     next_tid = 0;
     in_txn = false;
-    frozen = false;
     indexes = [];
     delta_base = 0;
     ver_mut = 0;
@@ -71,20 +69,6 @@ let create ~name ~schema =
     ver_compact = 0;
     columnar = None;
   }
-
-(* Freeze markers: the engine freezes every table for the span of a
-   parallel evaluation batch; under [debug_checks] any mutation while
-   frozen is an invariant violation (worker domains read these tables
-   lock-free, so a concurrent write would be a data race). *)
-let freeze t = t.frozen <- true
-
-let thaw t = t.frozen <- false
-
-let guard_frozen t op =
-  if !debug_checks && t.frozen then
-    Errors.runtime_error
-      "table %s: %s while frozen (parallel evaluation batch in flight)" t.name
-      op
 
 let name t = t.name
 
@@ -164,7 +148,6 @@ let enable_columnar t =
 
 (* Insert a row; returns its tuple id. *)
 let insert t cells =
-  guard_frozen t "insert";
   check_cells t cells;
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
@@ -280,7 +263,6 @@ let index_lookup_tids _t ix v = Index.lookup ix v
 (* Deletion --------------------------------------------------------------- *)
 
 let guard_no_txn t op =
-  guard_frozen t op;
   if t.in_txn then
     Errors.runtime_error "table %s: %s not allowed inside a savepoint" t.name op
 
@@ -387,7 +369,6 @@ let savepoint t : savepoint =
   { sp_pos = Vec.length t.rows; sp_tid = t.next_tid }
 
 let rollback_to t (sp : savepoint) =
-  guard_frozen t "rollback_to";
   t.in_txn <- false;
   t.ver_mut <- t.ver_mut + 1;
   (* Newest first: each row's tid is the newest under its key in every

@@ -37,20 +37,8 @@
 type t
 
 (** When set, {!insert} asserts the tid-monotonicity invariant on every
-    append, and mutations of a {!freeze}-marked table fail. Enabled by
-    the test suite; off by default. *)
+    append. Enabled by the test suite; off by default. *)
 val debug_checks : bool ref
-
-(** Mark the table as frozen: while set (and {!debug_checks} is on),
-    every mutating operation — [insert], [bulk_load], [delete_where],
-    [retain_tids], [update_where], [rollback_to], [clear] — raises. The
-    engine freezes tables for the span of a parallel evaluation batch,
-    turning a would-be cross-domain data race into a deterministic
-    failure under the test suite. *)
-val freeze : t -> unit
-
-(** Clear the {!freeze} mark. *)
-val thaw : t -> unit
 
 val create : name:string -> schema:Schema.t -> t
 val name : t -> string

@@ -1,9 +1,8 @@
 (** TCP front-end: a listener thread accepts connections, each
     connection gets its own thread running the {!Session} machine over
     the {!Protocol} framing, and every SUBMIT funnels into the single
-    {!Admission} pipeline. Policy evaluation inside the engine still
-    fans out over the {!Parallel} domain pool; the threads here only
-    do socket I/O and queueing. *)
+    {!Admission} pipeline, which evaluates policies serially inside the
+    engine; the threads here only do socket I/O and queueing. *)
 
 open Datalawyer
 
@@ -85,7 +84,6 @@ let stats t =
   let d = Engine.delta_stats t.engine in
   let u = Engine.unify_stats t.engine in
   let r = Engine.relevance_stats t.engine in
-  let shared_hits, shared_misses = Engine.shared_scan_stats t.engine in
   let v = Engine.vector_stats t.engine in
   let vhist =
     (* same label:count shape as batch-hist; bucket upper bounds, "max"
@@ -127,8 +125,6 @@ let stats t =
     ("relevance-eligible", i r.Engine.rel_eligible);
     ("relevance-checks", i r.Engine.rel_checks);
     ("relevance-skips", i r.Engine.rel_skips);
-    ("shared-scan-hits", i shared_hits);
-    ("shared-scan-misses", i shared_misses);
     ("vector-enabled", (if v.Engine.vec_enabled then "1" else "0"));
     ("vector-batches", i v.Engine.vec_batches);
     ("vector-rows", i v.Engine.vec_rows);

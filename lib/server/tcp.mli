@@ -37,5 +37,5 @@ val stats : t -> (string * string) list
 (** Stop accepting, close every connection, drain the admission queue
     (enqueued submissions still get real verdicts) and join all
     threads. [close_engine] additionally flushes and closes the
-    engine's persistence store and shuts the shared domain pools down. *)
+    engine's persistence store. *)
 val stop : ?close_engine:bool -> t -> unit

@@ -147,7 +147,6 @@ let run_script ~delta script =
       unification = script.unification;
       log_compaction = script.compaction;
       preemptive = script.compaction && script.preemptive;
-      domains = 1;
       delta;
     }
   in
@@ -288,8 +287,7 @@ let prop_delta_full_identical =
 let ti_off =
   {
     Engine.default_config with
-    Engine.domains = 1;
-    time_independent = false;
+    Engine.time_independent = false;
     delta = true;
     relevance = false;
   }
@@ -418,7 +416,6 @@ let test_table2_policies_all_on_delta_path () =
   let config =
     {
       Engine.default_config with
-      Engine.domains = 1;
       Engine.strategy = Engine.Serial;
       delta = true;
       relevance = false;
@@ -470,7 +467,7 @@ let test_time_dependent_join_eligible_under_defaults () =
      cannot rewrite — which are also the ones that grow with the log. *)
   let _, engine =
     make_engine
-      ~config:{ Engine.default_config with Engine.domains = 1; delta = true }
+      ~config:{ Engine.default_config with Engine.delta = true }
       ()
   in
   ignore
@@ -510,8 +507,7 @@ let agg_member uid =
 let unified_cfg ~unification ~delta =
   {
     Engine.default_config with
-    Engine.domains = 1;
-    time_independent = false;
+    Engine.time_independent = false;
     relevance = false;
     unification;
     delta;

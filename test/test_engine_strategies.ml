@@ -20,16 +20,9 @@ let always_fires name =
 
 let test_union_reports_every_violation () =
   let db = base_db () in
-  (* domains = 1: the single-UNION-call pin below is a property of the
-     serial path; a pool evaluates one call per branch (same outcome). *)
   let e =
     Engine.create
-      ~config:
-        {
-          Engine.noopt_config with
-          Engine.strategy = Engine.Union_all;
-          domains = 1;
-        }
+      ~config:{ Engine.noopt_config with Engine.strategy = Engine.Union_all }
       db
   in
   ignore (Engine.add_policy e ~name:"a" (always_fires "a"));

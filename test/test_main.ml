@@ -21,8 +21,6 @@ let () =
       ("persist", Test_persist.suite);
       ("index", Test_index.suite);
       ("plan_diff", Test_plan_diff.suite);
-      ("parallel", Test_parallel.suite);
-      ("parallel_diff", Test_parallel_diff.suite);
       ("delta_diff", Test_delta_diff.suite);
       ("unify_scale", Test_unify_scale.suite);
       ("server", Test_server.suite);

@@ -399,45 +399,18 @@ let test_vec_index_adapter () =
   let db = sample_db () in
   ignore
     (Database.exec_script db "CREATE INDEX ix_emp_dept ON emp USING hash (dept)");
-  let probes0 = Atomic.get Executor.index_probes in
+  let probes0 = !Executor.index_probes in
   let vec =
     check_vec_exact db "SELECT e.name FROM emp e WHERE e.dept = 'eng'"
   in
   Alcotest.(check bool) "vectorized run probed the index" true
-    (Atomic.get Executor.index_probes > probes0);
+    (!Executor.index_probes > probes0);
   Alcotest.(check bool) "probe returned rows" true (vec.Executor.out_rows <> []);
   let empty =
     check_vec_exact db "SELECT e.name FROM emp e WHERE e.dept = NULL"
   in
   Alcotest.(check int) "NULL key matches nothing" 0
     (List.length empty.Executor.out_rows)
-
-(* The batch shared-scan cache: two plans sharing a scan prefix under
-   one batch cache must materialize once and agree with the row path. *)
-let test_vec_shared_batch_cache () =
-  let db = sample_db () in
-  let cat = Database.catalog db in
-  let shared_batch = Shared_cache.create () in
-  let shared = Shared_cache.create () in
-  let opts = Executor.default_opts in
-  let prep sql =
-    Executor.prepare ~opts ~vectorized:true ~shared ~shared_batch cat
-      (Parser.query sql)
-  in
-  let q1 = prep "SELECT e.name FROM emp e, dept d WHERE e.dept = d.dname" in
-  let q2 = prep "SELECT e.salary FROM emp e, dept d WHERE e.dept = d.dname" in
-  let r1 = Executor.run_compiled q1 and r2 = Executor.run_compiled q2 in
-  let hits, misses = Shared_cache.stats shared_batch in
-  Alcotest.(check bool) "batch cache materialized" true (misses > 0);
-  Alcotest.(check bool) "batch cache reused" true (hits > 0);
-  let row1 =
-    Executor.run ~opts cat
-      (Parser.query "SELECT e.name FROM emp e, dept d WHERE e.dept = d.dname")
-  in
-  Alcotest.(check bool) "shared batch = row path" true
-    (canon_exact r1.Executor.out_rows = canon_exact row1.Executor.out_rows);
-  Alcotest.(check bool) "second plan returned rows" true
-    (r2.Executor.out_rows <> [])
 
 (* Columnar mirror stays in sync through savepoint rollback — the
    engine's tentative-increment pattern — so a vectorized re-run after a
@@ -595,7 +568,7 @@ let test_vec_engine_differential () =
     let db = sample_db () in
     let e =
       Engine.create
-        ~config:{ Engine.default_config with Engine.vectorized; domains = 1 }
+        ~config:{ Engine.default_config with Engine.vectorized }
         db
     in
     ignore
@@ -664,10 +637,10 @@ let test_indexed_vs_heap_identical () =
     Parser.query "SELECT e.name, e.salary FROM emp e WHERE e.dept = 'eng'"
   in
   let opts = { Executor.lineage = true; track_src = true } in
-  let probes0 = Atomic.get Executor.index_probes in
+  let probes0 = !Executor.index_probes in
   let indexed = Executor.run ~opts cat q in
   Alcotest.(check bool) "index path actually probed" true
-    (Atomic.get Executor.index_probes > probes0);
+    (!Executor.index_probes > probes0);
   ignore (Database.exec_script db "DROP INDEX ix_emp_dept");
   let heap = Executor.run ~opts cat q in
   let unopt = Executor.run_unoptimized ~opts cat q in
@@ -692,10 +665,10 @@ let test_range_index_identical () =
       "SELECT e.name FROM emp e WHERE e.salary >= 80 AND e.salary < 95"
   in
   let opts = { Executor.lineage = true; track_src = true } in
-  let probes0 = Atomic.get Executor.index_probes in
+  let probes0 = !Executor.index_probes in
   let indexed = Executor.run ~opts cat q in
   Alcotest.(check bool) "range path probed" true
-    (Atomic.get Executor.index_probes > probes0);
+    (!Executor.index_probes > probes0);
   let unopt = Executor.run_unoptimized ~opts cat q in
   Alcotest.(check bool) "range-indexed = reference" true
     (canon indexed.Executor.out_rows = canon unopt.Executor.out_rows);
@@ -810,7 +783,6 @@ let suite =
   @ [
       tc "vectorized: sub-slot adapter" test_vec_sub_slot_adapter;
       tc "vectorized: index probe adapter" test_vec_index_adapter;
-      tc "vectorized: shared batch cache" test_vec_shared_batch_cache;
       tc "vectorized: columnar rollback sync" test_vec_columnar_rollback_sync;
       tc "vectorized: cross-dict join remap" test_vec_cross_dict_join;
       tc "vectorized: dictionary rollback keeps codes" test_vec_dict_rollback;

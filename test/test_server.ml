@@ -191,7 +191,7 @@ let fresh_db () =
 
 let make_engine ?(ti = false) ~policies () =
   let config =
-    { Engine.default_config with Engine.time_independent = ti; domains = 1 }
+    { Engine.default_config with Engine.time_independent = ti }
   in
   let engine = Engine.create ~config (fresh_db ()) in
   List.iteri
@@ -612,6 +612,39 @@ let test_shutdown_drains () =
   Tcp.stop ~close_engine:true srv;
   Alcotest.(check int) "all verdicts delivered" 4 (Atomic.get oks)
 
+(* The STATS keys the perfbench server workload reads: present, integer
+   and consistent with the traffic; and no shared-scan key. *)
+let test_stats_contract () =
+  let _, srv = start_server ~policies:[ 1 ] () in
+  let port = Tcp.port srv in
+  let n = 3 in
+  let c = open_session port 1 in
+  for _ = 1 to n do
+    match rpc c (Protocol.Submit "SELECT v FROM data WHERE k = 1") with
+    | Protocol.Accepted _ -> ()
+    | r -> Alcotest.fail ("SUBMIT: " ^ Protocol.render_response r)
+  done;
+  (match rpc c Protocol.Stats with
+  | Protocol.Stats_reply kvs ->
+    let int_of k =
+      match Option.bind (List.assoc_opt k kvs) int_of_string_opt with
+      | Some v -> v
+      | None -> Alcotest.fail (k ^ " missing or not an integer")
+    in
+    Alcotest.(check int) "submissions" n (int_of "submissions");
+    let batches = int_of "batches" in
+    Alcotest.(check bool) "1 <= batches <= submissions" true
+      (batches >= 1 && batches <= n);
+    ignore (int_of "batch-fast");
+    ignore (int_of "batch-retried");
+    Alcotest.(check (list string)) "no shared-scan keys" []
+      (List.filter
+         (fun k -> String.starts_with ~prefix:"shared-scan" k)
+         (List.map fst kvs))
+  | r -> Alcotest.fail (Protocol.render_response r));
+  close_client c;
+  Tcp.stop ~close_engine:true srv
+
 let suite =
   [
     tc "decoder reassembles frames split across reads" test_decoder_split_frames;
@@ -637,5 +670,6 @@ let suite =
     tc "mid-batch disconnect leaves other clients unharmed"
       test_mid_batch_disconnect;
     tc "shutdown drains queued submissions" test_shutdown_drains;
+    tc "STATS carries the admission counters as integers" test_stats_contract;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_batch_serial_identical ]

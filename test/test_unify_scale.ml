@@ -1,10 +1,10 @@
 (* Differential property tests for the scale machinery: n-way template
    unification (one shape, many lifted constants), the policy relevance
-   index and shared-subplan admission. The same scripted workload —
+   index and batched admission. The same scripted workload —
    submissions, admission batches, mid-stream policy registration, DDL,
    plain-table DML — must produce identical verdicts, violation-message
    SETS, accepted rows and final log contents with the optimizations on
-   (unification + relevance + shared scans, delta on or off) and with
+   (unification + relevance, delta on or off) and with
    the fully unrolled naive configuration (everything off). Messages
    are compared as sorted sets: a unified policy reports its firing
    members in constants-table row order, the unrolled set in
@@ -81,7 +81,6 @@ type script = {
   ti : bool;
   delta : bool;  (** same in both legs: crossed with the scaled stack *)
   compaction : bool;
-  domains : int;
   initial : int list;
   ops : op list;
 }
@@ -122,11 +121,9 @@ let run_script ~scaled script =
       time_independent = script.ti;
       log_compaction = script.compaction;
       preemptive = false;
-      domains = script.domains;
       delta = script.delta;
       unification = scaled;
       relevance = scaled;
-      shared_scans = scaled;
     }
   in
   let db = Database.create () in
@@ -212,23 +209,20 @@ let script_gen : script QCheck.Gen.t =
   let* ti = bool in
   let* delta = bool in
   let* compaction = bool in
-  (* a sprinkle of pooled runs: the skip/shared machinery must stay
-     deterministic when the policy batch fans out over domains *)
-  let* domains = frequency [ (4, return 1); (1, return 3) ] in
   let* initial =
     list_size (int_range 0 4) (int_range 0 (Array.length templates - 1))
   in
   let+ ops = list_size (int_range 1 14) op_gen in
-  { strategy; ti; delta; compaction; domains; initial; ops }
+  { strategy; ti; delta; compaction; initial; ops }
 
 let print_script s =
   Printf.sprintf
-    "strategy=%s ti=%b delta=%b comp=%b domains=%d initial=[%s] ops=[%s]"
+    "strategy=%s ti=%b delta=%b comp=%b initial=[%s] ops=[%s]"
     (match s.strategy with
     | Engine.Union_all -> "union"
     | Engine.Serial -> "serial"
     | Engine.Interleaved -> "interleaved")
-    s.ti s.delta s.compaction s.domains
+    s.ti s.delta s.compaction
     (String.concat ";" (List.map string_of_int s.initial))
     (String.concat ";"
        (List.map
@@ -247,25 +241,23 @@ let script_arb = QCheck.make ~print:print_script script_gen
 
 let prop_scaled_naive_identical =
   QCheck.Test.make
-    ~name:"unified+relevance+shared and naive unrolled agree" ~count:200
+    ~name:"unified+relevance and naive unrolled agree" ~count:200
     script_arb
     (fun script -> run_script ~scaled:false script = run_script ~scaled:true script)
 
 (* Deterministic pins -------------------------------------------------------- *)
 
 (* Everything pinned explicitly — not inherited from DL_UNIFY / DL_DELTA
-   / DL_DOMAINS — so the cases assert under any environment. TI is off
+   — so the cases assert under any environment. TI is off
    so the skip pins exercise the based path (valid proved-empty base +
    blocked slots); the TI-pinned baseless path has its own pin below. *)
 let scale_cfg =
   {
     Engine.default_config with
-    Engine.domains = 1;
-    time_independent = false;
+    Engine.time_independent = false;
     delta = true;
     unification = true;
     relevance = true;
-    shared_scans = true;
   }
 
 let make_engine ?(config = scale_cfg) () =
@@ -396,34 +388,11 @@ let test_relevance_off_counts_nothing () =
   Alcotest.(check int) "no checks when off" 0 r.Engine.rel_checks;
   Alcotest.(check int) "no skips when off" 0 r.Engine.rel_skips
 
-let test_shared_scans_hit () =
-  (* two different-shape policies (no unification) both scan [users]
-     with no pushed-down predicates: within one admission the second
-     plan must reuse the first's materialization *)
-  let _, engine =
-    make_engine ~config:{ scale_cfg with Engine.delta = false } ()
-  in
-  ignore
-    (Engine.add_policy engine ~name:"a"
-       "SELECT DISTINCT 'a' FROM users u, schema s WHERE u.ts = s.ts AND \
-        s.irid = 'never'");
-  ignore
-    (Engine.add_policy engine ~name:"b"
-       "SELECT DISTINCT 'b' FROM users u, provenance p WHERE u.ts = p.ts AND \
-        p.irid = 'never'");
-  ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
-  ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
-  let hits, misses = Engine.shared_scan_stats engine in
-  Alcotest.(check bool) "some materializations" true (misses > 0);
-  Alcotest.(check bool) "some reuse" true (hits > 0)
-
 let test_batch_everything_on () =
-  (* the server's fast path (submit_batch), the domain pool, delta,
-     unification, relevance and shared scans composed: verdicts must
-     match the one-at-a-time semantics *)
-  let _, engine =
-    make_engine ~config:{ scale_cfg with Engine.domains = 3 } ()
-  in
+  (* the server's fast path (submit_batch), delta, unification and
+     relevance composed: verdicts must match the one-at-a-time
+     semantics *)
+  let _, engine = make_engine () in
   List.iteri
     (fun i uid ->
       ignore (Engine.add_policy engine ~name:(Printf.sprintf "m%d" i) (per_uid uid)))
@@ -458,8 +427,6 @@ let suite =
     tc "skipped policy fires again after a policy-set change"
       test_relevance_refires_after_policy_change;
     tc "relevance off checks and skips nothing" test_relevance_off_counts_nothing;
-    tc "shared subplans are materialized once per admission"
-      test_shared_scans_hit;
     tc "batch fast path composes with the full scale stack"
       test_batch_everything_on;
   ]
