@@ -23,6 +23,7 @@ let () =
       ("plan_diff", Test_plan_diff.suite);
       ("delta_diff", Test_delta_diff.suite);
       ("unify_scale", Test_unify_scale.suite);
+      ("serial_diff", Test_serial_diff.suite);
       ("server", Test_server.suite);
       ("properties", Test_props.suite);
     ]

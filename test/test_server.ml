@@ -670,6 +670,6 @@ let suite =
     tc "mid-batch disconnect leaves other clients unharmed"
       test_mid_batch_disconnect;
     tc "shutdown drains queued submissions" test_shutdown_drains;
-    tc "STATS carries the admission counters as integers" test_stats_contract;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_batch_serial_identical ]
+  @ [ tc "STATS carries the admission counters as integers" test_stats_contract ]

@@ -388,6 +388,38 @@ let test_relevance_off_counts_nothing () =
   Alcotest.(check int) "no checks when off" 0 r.Engine.rel_checks;
   Alcotest.(check int) "no skips when off" 0 r.Engine.rel_skips
 
+let test_common_prefix_policies () =
+  (* two policies over the same log-scan prefix: each is its own plan —
+     one fires without dragging the other along, a warm resubmission
+     compiles nothing, and no scan is shared between them *)
+  let _, engine =
+    make_engine ~config:{ scale_cfg with Engine.delta = false } ()
+  in
+  ignore
+    (Engine.add_policy engine ~name:"a"
+       "SELECT DISTINCT 'a' FROM users u, schema s WHERE u.ts = s.ts AND \
+        s.irid = 'never'");
+  ignore
+    (Engine.add_policy engine ~name:"b"
+       "SELECT DISTINCT 'b' FROM users u, provenance p WHERE u.ts = p.ts AND \
+        p.irid = 'data' AND u.uid = 4");
+  let q = "SELECT v FROM data WHERE k = 1" in
+  (match Engine.submit engine ~uid:1 q with
+  | Engine.Accepted _ -> ()
+  | Engine.Rejected (ms, _) -> Alcotest.fail (String.concat "; " ms));
+  let hits, misses = Engine.plan_cache_stats engine in
+  Alcotest.(check bool) "plans compiled" true (misses > 0);
+  ignore (Engine.submit engine ~uid:1 q);
+  let hits', misses' = Engine.plan_cache_stats engine in
+  Alcotest.(check int) "warm resubmission compiles nothing" misses misses';
+  Alcotest.(check bool) "warm resubmission hits" true (hits' > hits);
+  (match Engine.submit engine ~uid:4 q with
+  | Engine.Rejected (ms, _) ->
+    Alcotest.(check (list string)) "only b fires" [ "b" ] ms
+  | Engine.Accepted _ -> Alcotest.fail "uid 4 must be rejected");
+  Alcotest.(check (pair int int)) "no shared scans" (0, 0)
+    (Engine.shared_scan_stats engine)
+
 let test_batch_everything_on () =
   (* the server's fast path (submit_batch), delta, unification and
      relevance composed: verdicts must match the one-at-a-time
@@ -427,6 +459,8 @@ let suite =
     tc "skipped policy fires again after a policy-set change"
       test_relevance_refires_after_policy_change;
     tc "relevance off checks and skips nothing" test_relevance_off_counts_nothing;
+    tc "policies over a common scan prefix evaluate separately"
+      test_common_prefix_policies;
     tc "batch fast path composes with the full scale stack"
       test_batch_everything_on;
   ]
